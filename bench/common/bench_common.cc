@@ -589,7 +589,7 @@ void PrintFigureHeader(const std::string& figure, const std::string& paper_setup
   std::printf(
       "Ratios preserved from the paper: sample fraction 1/(eps^2 n), data\n"
       "density n/u, split count m; absolute sizes are scaled down so the\n"
-      "whole suite runs on one core (see DESIGN.md / EXPERIMENTS.md).\n"
+      "whole suite runs on one core.\n"
       "Communication is measured in real bytes at the scaled size; running\n"
       "time is simulated at PAPER scale (work time x n_paper/n), so seconds\n"
       "are directly comparable to the paper's time figures.\n");

@@ -13,12 +13,14 @@
 namespace wavemr {
 namespace bench {
 
-/// Scaled-down defaults preserving the paper's ratios (DESIGN.md section 1).
+/// Scaled-down defaults preserving the paper's ratios (sample fraction, data
+/// density n/u, split count; CostModel::time_scale restores paper seconds).
 /// Paper defaults: n = 13.4e9 (50 GB), u = 2^29, m = 200 (256 MB splits),
 /// k = 30, eps = 1e-4 (sample = 0.75% of n), B = 50%, alpha = 1.1.
-/// Scaled:         n = 2^20,            u = 2^16, m = 64,
-///                 k = 30, eps = 1e-2 (sample = 1% of n),   B = 50%.
-/// WAVEMR_SCALE=large multiplies n, u, m by 4 for a closer look.
+/// Scaled:         n = 2^22,            u = 2^17, m = 64,
+///                 k = 30, eps = 0.0056 (sample = 0.75% of n), B = 50%.
+/// WAVEMR_SCALE=large multiplies n, u, m by 4 and halves eps, which keeps
+/// the sample fraction, for a closer look.
 struct BenchDefaults {
   uint64_t n = uint64_t{1} << 22;
   uint64_t u = uint64_t{1} << 17;
@@ -36,8 +38,7 @@ struct BenchDefaults {
   /// for any value, only wall-clock moves.
   int threads = 1;
   /// Scaled analogue of the paper's 20KB*log2(u) GCS budget (the constant
-  /// shrinks with the dataset so the sketch remains smaller than the data;
-  /// see EXPERIMENTS.md on what does and does not scale).
+  /// shrinks with the dataset so the sketch remains smaller than the data).
   uint64_t gcs_bytes_per_log_u = 2048;
 
   /// The paper's default record count; cost-model time is scaled by

@@ -69,7 +69,7 @@ class CounterRng {
 
 /// Pseudo-random permutation of [0, 2^bits) built from a 4-round Feistel
 /// network. Used to scatter Zipf ranks over the key domain so that frequency
-/// is not a monotone function of key value (see DESIGN.md).
+/// is not a monotone function of key value (ZipfDatasetOptions::permute_keys).
 class FeistelPermutation {
  public:
   /// bits must be in [2, 62] and even behaviour is handled internally.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/logging.h"
@@ -47,7 +48,7 @@ class Serializer {
 
 class Deserializer {
  public:
-  explicit Deserializer(const std::string& buf) : buf_(buf) {}
+  explicit Deserializer(std::string_view buf) : buf_(buf) {}
 
   template <typename T>
   T Get() {
@@ -74,7 +75,7 @@ class Deserializer {
   std::string GetString() {
     uint64_t n = Get<uint64_t>();
     WAVEMR_CHECK_LE(pos_ + n, buf_.size());
-    std::string s = buf_.substr(pos_, n);
+    std::string s(buf_.substr(pos_, n));
     pos_ += n;
     return s;
   }
@@ -87,7 +88,7 @@ class Deserializer {
   size_t remaining() const { return buf_.size() - pos_; }
 
  private:
-  const std::string& buf_;
+  std::string_view buf_;
   size_t pos_ = 0;
 };
 

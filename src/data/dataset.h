@@ -115,7 +115,7 @@ struct ZipfDatasetOptions {
   uint32_t record_bytes = 4;
   uint64_t seed = 42;
   /// Scatter Zipf ranks over the key domain with a Feistel permutation so
-  /// frequency is not monotone in key value (see DESIGN.md). The paper's
+  /// frequency is not monotone in key value (FeistelPermutation). The paper's
   /// permutation of record order falls out of the counter-based generation.
   bool permute_keys = true;
   /// Materialize each split's keys on first scan (8 bytes per record). Turn

@@ -62,7 +62,7 @@ struct BuildOptions {
   /// for every setting; only wall-clock changes.
   IoOptions io;
 
-  // ---- ablation switches (DESIGN.md section 5) ----
+  // ---- ablation switches (exercised by bench/ablation_*.cc) ----
 
   /// Send-V: emit one (x,1) pair per record and rely on the engine Combiner
   /// instead of aggregating in the mapper's hash map (Hadoop's default

@@ -13,7 +13,7 @@ namespace wavemr {
 /// Constants approximate a 2011-era Hadoop 0.20.2 deployment (JVM task
 /// startup, hash-map-per-record map loops, a 100 Mbps shared switch), which
 /// is what the paper ran on. Their absolute values matter less than their
-/// ratios; see DESIGN.md ("Substitutions").
+/// ratios.
 struct CostModel {
   /// Sequential local-disk scan rate (MB/s) for reading splits/state files.
   double disk_mbps = 80.0;
@@ -71,7 +71,7 @@ struct CostModel {
   /// per-round/per-task overheads. Benchmarks set it to n_paper / n_bench so
   /// that a proportionally scaled-down dataset yields paper-scale seconds:
   /// per-record and per-byte costs are linear in the data, so scaling the
-  /// rates is equivalent to scaling the data back up (DESIGN.md section 1).
+  /// rates is equivalent to scaling the data back up.
   double time_scale = 1.0;
 
   /// Seconds to move `bytes` across the network share of this job.

@@ -48,19 +48,23 @@ double RangeSum(const HistogramSnapshot& snapshot, uint64_t lo, uint64_t hi) {
   for (uint32_t j = 0; j < levels; ++j) {
     auto [first, last] = snapshot.LevelRange(j);
     if (first == last) continue;
-    // Level-j supports are blocks of u/2^j keys; only coefficients whose
-    // block intersects [lo, hi) contribute a nonzero basis range sum.
+    // Level-j supports are blocks of u/2^j keys. A block lying wholly inside
+    // [lo, hi) has as many negative as positive keys in range, so its basis
+    // range sum is exactly +0.0, and adding its +-0.0 term leaves `est`
+    // bit-identical. Only the blocks holding lo and hi-1 can contribute;
+    // they are visited in index order, as the naive sweep would.
     const uint64_t block = u >> j;
     const uint64_t lo_idx = (uint64_t{1} << j) + lo / block;
     const uint64_t hi_idx = (uint64_t{1} << j) + (hi - 1) / block;
-    auto begin = std::lower_bound(idx.begin() + static_cast<ptrdiff_t>(first),
-                                  idx.begin() + static_cast<ptrdiff_t>(last),
-                                  lo_idx);
-    auto end = std::upper_bound(begin, idx.begin() + static_cast<ptrdiff_t>(last),
-                                hi_idx);
-    for (auto it = begin; it != end; ++it) {
-      const size_t pos = static_cast<size_t>(it - idx.begin());
-      est += val[pos] * BasisRangeSum(*it, lo, hi, u);
+    const auto level_end = idx.begin() + static_cast<ptrdiff_t>(last);
+    auto it = idx.begin() + static_cast<ptrdiff_t>(first);
+    for (const uint64_t want : {lo_idx, hi_idx}) {
+      it = std::lower_bound(it, level_end, want);
+      if (it != level_end && *it == want) {
+        est += val[static_cast<size_t>(it - idx.begin())] *
+               BasisRangeSum(want, lo, hi, u);
+        ++it;  // lo_idx == hi_idx must not count the block twice
+      }
     }
   }
   return est;

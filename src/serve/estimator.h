@@ -29,8 +29,9 @@ namespace wavemr {
 /// error-tree path instead of the naive O(k) sweep.
 double PointEstimate(const HistogramSnapshot& snapshot, uint64_t x);
 
-/// Estimated sum of frequencies over [lo, hi). Visits only the per-level
-/// index runs whose supports overlap the range: O(log u + answer terms).
+/// Estimated sum of frequencies over [lo, hi). Per level, only the (at most
+/// two) coefficients whose supports contain lo or hi-1 can contribute; each
+/// is found by binary search: O(log u * log k).
 double RangeSum(const HistogramSnapshot& snapshot, uint64_t lo, uint64_t hi);
 
 /// Full reconstructed frequency vector (length u) via the dense inverse

@@ -1,5 +1,7 @@
 #include "serve/protocol.h"
 
+#include <cstring>
+
 #include "core/serialize.h"
 
 namespace wavemr {
@@ -102,14 +104,20 @@ std::string EncodeErrorResponse(const Status& status) {
 }
 
 std::string WrapFrame(const std::string& payload) {
-  Serializer s;
-  s.Put<uint32_t>(static_cast<uint32_t>(payload.size()));
-  std::string out = s.Release();
-  out += payload;
+  std::string out;
+  AppendFrame(&out, payload);
   return out;
 }
 
-StatusOr<QueryRequest> DecodeRequest(const std::string& payload) {
+void AppendFrame(std::string* out, const std::string& payload) {
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  char prefix[sizeof(len)];
+  std::memcpy(prefix, &len, sizeof(len));
+  out->append(prefix, sizeof(len));
+  out->append(payload);
+}
+
+StatusOr<QueryRequest> DecodeRequest(std::string_view payload) {
   Deserializer in(payload);
   if (in.remaining() < 1) {
     return Status::InvalidArgument("empty request payload");

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/status.h"
@@ -67,10 +68,12 @@ std::string EncodeErrorResponse(const Status& status);
 
 /// Wraps a payload into a frame (4-byte LE length + payload).
 std::string WrapFrame(const std::string& payload);
+/// Appends the frame of `payload` to `out` (WrapFrame without a new string).
+void AppendFrame(std::string* out, const std::string& payload);
 
 // ---- decoding; all reject truncated/oversized input with a Status ----
 
-StatusOr<QueryRequest> DecodeRequest(const std::string& payload);
+StatusOr<QueryRequest> DecodeRequest(std::string_view payload);
 
 struct EstimateResult {
   double estimate = 0.0;

@@ -145,7 +145,8 @@ int ServeMain(int argc, char* const* argv, int start) {
   parser.I32("port", &port, "TCP port (0 = ephemeral; the bound port is "
                             "printed on startup)");
   parser.I32("workers", &workers,
-             "query worker threads (0 = all hardware threads)");
+             "rebuild worker threads (0 = all hardware threads); queries "
+             "are answered on the reactor thread");
   parser.I32("max-connections", &max_connections,
              "connection cap; clients past it get an Unavailable reject "
              "frame (0 = unlimited)");

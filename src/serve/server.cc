@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <deque>
+#include <exception>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/failpoint.h"
 #include "core/logging.h"
@@ -45,30 +47,32 @@ int64_t NowNs() {
 }  // namespace
 
 struct QueryServer::Impl {
-  /// One client connection. The reactor thread owns fd lifecycle and the
-  /// input buffer; `mu` guards the output buffer and the per-connection
-  /// dispatch queue that keeps responses in request order. The fd is closed
-  /// only by the destructor, after the last worker reference drops, so a
-  /// worker never writes to a recycled descriptor.
+  /// One client connection. Every field belongs to the reactor thread. A
+  /// rebuild worker only holds a reference, which keeps the fd from being
+  /// recycled, and hands its response back through `completed`.
   struct Conn {
     explicit Conn(int fd_in) : fd(fd_in) {}
-    ~Conn() {
-      if (fd >= 0) ::close(fd);
-    }
+    ~Conn() { ::close(fd); }
+
+    /// No rebuild in flight and every response sent: nothing would be lost
+    /// by closing now.
+    bool quiescent() const { return !rebuilding && out_off == out.size(); }
 
     const int fd;
-    std::string in;  // reactor-only
+    std::string in;  // received bytes; parsing resumes at in_off
     size_t in_off = 0;
-
-    std::mutex mu;
-    std::string out;  // guarded by mu
+    std::string out;  // encoded responses; sending resumes at out_off
     size_t out_off = 0;
-    std::deque<std::string> pending;  // guarded by mu
-    bool task_active = false;         // guarded by mu
-    bool want_write = false;          // guarded by mu
-    std::atomic<bool> dead{false};
-    /// Last request/response activity (NowNs); drives the idle sweep.
-    std::atomic<int64_t> last_activity_ns{0};
+    bool want_write = false;  // EPOLLOUT armed
+    bool rebuilding = false;  // a kRebuild is on the pool; parsing paused
+    bool closed = false;      // taken off the reactor
+    int64_t last_activity_ns = 0;  // NowNs of the last request or rebuild
+  };
+
+  /// A finished rebuild's response, waiting for the reactor.
+  struct Completion {
+    std::shared_ptr<Conn> conn;
+    std::string response;
   };
 
   Impl(SnapshotRegistry* registry_in, ServerOptions options_in,
@@ -85,30 +89,33 @@ struct QueryServer::Impl {
   int epoll_fd = -1;
   int wake_fd = -1;
   int port = 0;
-  std::unique_ptr<ThreadPool> pool;
+  std::unique_ptr<ThreadPool> pool;  // rebuild workers; null without a hook
   std::thread reactor;
   std::atomic<bool> running{false};
   std::atomic<bool> stopping{false};
   std::atomic<uint64_t> queries{0};
-  std::atomic<uint64_t> rebuilds{0};
   std::atomic<uint64_t> shed{0};
   std::atomic<uint64_t> idle_closed{0};
+  std::mutex completed_mu;
+  std::vector<Completion> completed;  // guarded by completed_mu
+  uint64_t rebuilds = 0;  // reactor-only
   std::unordered_map<int, std::shared_ptr<Conn>> conns;  // reactor-only
 
   Status Start();
   void Stop();
   void ReactorLoop();
-  void SweepIdle();
-  void SweepDrained();
+  template <typename Pred>
+  void EvictIf(Pred pred);
   void Accept();
   void ReadConn(const std::shared_ptr<Conn>& conn);
   void DiscardInput(const std::shared_ptr<Conn>& conn);
+  bool ServeBuffered(const std::shared_ptr<Conn>& conn);
+  void StartRebuild(const std::shared_ptr<Conn>& conn);
+  void DeliverRebuilds();
+  bool Flush(const std::shared_ptr<Conn>& conn);
+  void Detach(Conn* conn);
   void CloseConn(const std::shared_ptr<Conn>& conn);
-  void Dispatch(const std::shared_ptr<Conn>& conn, std::string payload);
-  void DrainTask(std::shared_ptr<Conn> conn);
-  void Send(const std::shared_ptr<Conn>& conn, const std::string& frame);
-  void FlushLocked(Conn* conn);  // mu held
-  std::string Handle(const std::string& payload);
+  std::string Answer(const QueryRequest& request);
 };
 
 Status QueryServer::Impl::Start() {
@@ -151,7 +158,7 @@ Status QueryServer::Impl::Start() {
     return Status::IOError("epoll_ctl(wake): " + std::string(std::strerror(errno)));
   }
 
-  pool = std::make_unique<ThreadPool>(options.workers);
+  if (rebuild) pool = std::make_unique<ThreadPool>(options.workers);
   running.store(true);
   reactor = std::thread([this] { ReactorLoop(); });
   return Status::OK();
@@ -165,7 +172,7 @@ void QueryServer::Impl::ReactorLoop() {
   for (;;) {
     if (!draining && stopping.load(std::memory_order_acquire)) {
       // Graceful drain: close the listener immediately, ignore further
-      // requests, but let queries already in flight deliver their
+      // requests, but let requests already admitted deliver their
       // responses until the deadline.
       draining = true;
       drain_deadline =
@@ -176,7 +183,7 @@ void QueryServer::Impl::ReactorLoop() {
       listen_fd = -1;
     }
     if (draining) {
-      SweepDrained();
+      EvictIf([](const Conn& conn) { return conn.quiescent(); });
       if (conns.empty() || std::chrono::steady_clock::now() >= drain_deadline) {
         break;
       }
@@ -199,7 +206,10 @@ void QueryServer::Impl::ReactorLoop() {
         uint64_t drain;
         while (::read(wake_fd, &drain, sizeof(drain)) > 0) {
         }
-        continue;  // stop flag re-checked at the top of the loop
+        // A rebuild finished, or Stop() was called (the stop flag is
+        // re-checked at the top of the loop).
+        DeliverRebuilds();
+        continue;
       }
       if (fd == listen_fd) {
         Accept();
@@ -212,10 +222,7 @@ void QueryServer::Impl::ReactorLoop() {
         CloseConn(conn);
         continue;
       }
-      if ((events[i].events & EPOLLOUT) != 0) {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        FlushLocked(conn.get());
-      }
+      if ((events[i].events & EPOLLOUT) != 0 && !Flush(conn)) continue;
       if ((events[i].events & EPOLLIN) != 0) {
         // New requests are not admitted during the drain, but the socket
         // must still be read (to see EOF and to keep level-triggered epoll
@@ -227,67 +234,33 @@ void QueryServer::Impl::ReactorLoop() {
         }
       }
     }
-    if (!draining && options.idle_timeout_ms > 0) SweepIdle();
+    if (!draining && options.idle_timeout_ms > 0) {
+      const int64_t cutoff =
+          NowNs() - static_cast<int64_t>(options.idle_timeout_ms) * 1000000;
+      // Only quiescent connections qualify: a rebuild in flight or a
+      // half-sent response keeps a connection alive however long it takes.
+      EvictIf([&](const Conn& conn) {
+        if (!conn.quiescent() || conn.last_activity_ns >= cutoff) return false;
+        idle_closed.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      });
+    }
   }
-  // Hard teardown on the reactor: mark every remaining connection dead so
-  // workers stop writing, then drop the reactor references (fds close when
-  // the last worker reference drops).
-  for (auto& [fd, conn] : conns) {
-    conn->dead.store(true);
-    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-    ::shutdown(fd, SHUT_RDWR);
-  }
-  conns.clear();
+  // Hard teardown: whatever did not drain in time is cut off. A rebuild
+  // still running finishes on its worker, and Stop() discards its response.
+  EvictIf([](const Conn&) { return true; });
   if (listen_fd >= 0) {
     ::close(listen_fd);
     listen_fd = -1;
   }
 }
 
-/// Drain-phase sweep: closes connections whose responses are fully flushed
-/// (no queued requests, no worker mid-query, empty output buffer). A worker
-/// holds task_active through Handle+Send, so a connection observed quiescent
-/// here cannot grow new output -- request admission stopped with the drain.
-void QueryServer::Impl::SweepDrained() {
+/// Takes every connection matching `pred` off the reactor.
+template <typename Pred>
+void QueryServer::Impl::EvictIf(Pred pred) {
   for (auto it = conns.begin(); it != conns.end();) {
-    const std::shared_ptr<Conn>& conn = it->second;
-    bool done;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      done = conn->pending.empty() && !conn->task_active &&
-             conn->out_off == conn->out.size();
-    }
-    if (done || conn->dead.load()) {
-      conn->dead.store(true);
-      ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
-      ::shutdown(conn->fd, SHUT_RDWR);
-      it = conns.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-/// Evicts connections idle past options.idle_timeout_ms. Only quiescent
-/// connections qualify: queued or in-flight work keeps a connection alive
-/// no matter how long its queries run.
-void QueryServer::Impl::SweepIdle() {
-  const int64_t cutoff =
-      NowNs() - static_cast<int64_t>(options.idle_timeout_ms) * 1000000;
-  for (auto it = conns.begin(); it != conns.end();) {
-    const std::shared_ptr<Conn>& conn = it->second;
-    bool quiescent;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      quiescent = conn->pending.empty() && !conn->task_active &&
-                  conn->out_off == conn->out.size();
-    }
-    if (quiescent &&
-        conn->last_activity_ns.load(std::memory_order_relaxed) < cutoff) {
-      idle_closed.fetch_add(1, std::memory_order_relaxed);
-      conn->dead.store(true);
-      ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
-      ::shutdown(conn->fd, SHUT_RDWR);
+    if (pred(*it->second)) {
+      Detach(it->second.get());
       it = conns.erase(it);
     } else {
       ++it;
@@ -318,7 +291,7 @@ void QueryServer::Impl::Accept() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Conn>(fd);
-    conn->last_activity_ns.store(NowNs(), std::memory_order_relaxed);
+    conn->last_activity_ns = NowNs();
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
@@ -327,9 +300,16 @@ void QueryServer::Impl::Accept() {
   }
 }
 
-void QueryServer::Impl::CloseConn(const std::shared_ptr<Conn>& conn) {
-  conn->dead.store(true);
+/// Takes `conn` off the reactor. The fd closes with the last reference,
+/// which an in-flight rebuild may still hold.
+void QueryServer::Impl::Detach(Conn* conn) {
+  conn->closed = true;
   ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+  ::shutdown(conn->fd, SHUT_RDWR);
+}
+
+void QueryServer::Impl::CloseConn(const std::shared_ptr<Conn>& conn) {
+  Detach(conn.get());
   conns.erase(conn->fd);
 }
 
@@ -349,12 +329,13 @@ void QueryServer::Impl::DiscardInput(const std::shared_ptr<Conn>& conn) {
 
 void QueryServer::Impl::ReadConn(const std::shared_ptr<Conn>& conn) {
   char buf[16384];
-  bool got_bytes = false;
   for (;;) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       conn->in.append(buf, static_cast<size_t>(n));
-      got_bytes = true;
+      // A short read emptied the socket; level-triggered epoll reports
+      // whatever arrives next, so skip the recv that would say EAGAIN.
+      if (static_cast<size_t>(n) < sizeof(buf)) break;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -362,20 +343,35 @@ void QueryServer::Impl::ReadConn(const std::shared_ptr<Conn>& conn) {
     CloseConn(conn);  // EOF or hard error
     return;
   }
-  if (got_bytes) {
-    conn->last_activity_ns.store(NowNs(), std::memory_order_relaxed);
-  }
-  // Reassemble complete frames and hand them to the worker pool.
+  conn->last_activity_ns = NowNs();
+  if (ServeBuffered(conn)) Flush(conn);
+}
+
+/// Answers the complete frames buffered on `conn`, in order, into its
+/// output buffer. Stops at a partial frame or at a kRebuild, which goes to
+/// the pool; frames behind it wait in `in` until DeliverRebuilds resumes
+/// here. Returns false if an oversized frame closed the connection.
+bool QueryServer::Impl::ServeBuffered(const std::shared_ptr<Conn>& conn) {
   std::string& in = conn->in;
-  while (in.size() - conn->in_off >= sizeof(uint32_t)) {
+  while (!conn->rebuilding && in.size() - conn->in_off >= sizeof(uint32_t)) {
     const uint32_t len = LoadLe32(in.data() + conn->in_off);
     if (len > kMaxFramePayloadBytes) {
       CloseConn(conn);  // protocol violation
-      return;
+      return false;
     }
     if (in.size() - conn->in_off < sizeof(uint32_t) + len) break;
-    Dispatch(conn, in.substr(conn->in_off + sizeof(uint32_t), len));
+    const std::string_view payload(in.data() + conn->in_off + sizeof(uint32_t),
+                                   len);
     conn->in_off += sizeof(uint32_t) + len;
+    queries.fetch_add(1, std::memory_order_relaxed);
+    StatusOr<QueryRequest> request = DecodeRequest(payload);
+    if (!request.ok()) {
+      AppendFrame(&conn->out, EncodeErrorResponse(request.status()));
+    } else if (request->op == QueryOp::kRebuild && pool != nullptr) {
+      StartRebuild(conn);
+    } else {
+      AppendFrame(&conn->out, Answer(*request));
+    }
   }
   if (conn->in_off == in.size()) {
     in.clear();
@@ -384,84 +380,83 @@ void QueryServer::Impl::ReadConn(const std::shared_ptr<Conn>& conn) {
     in.erase(0, conn->in_off);
     conn->in_off = 0;
   }
+  return true;
 }
 
-void QueryServer::Impl::Dispatch(const std::shared_ptr<Conn>& conn,
-                                 std::string payload) {
-  bool submit = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->pending.push_back(std::move(payload));
-    if (!conn->task_active) {
-      conn->task_active = true;
-      submit = true;
+void QueryServer::Impl::StartRebuild(const std::shared_ptr<Conn>& conn) {
+  conn->rebuilding = true;
+  const uint64_t count = ++rebuilds;
+  pool->Submit([this, conn, count] {
+    std::string response;
+    try {
+      auto snapshot = rebuild(count);
+      response = snapshot.ok() ? EncodeRebuildResponse(
+                                     registry->Publish(std::move(*snapshot)))
+                               : EncodeErrorResponse(snapshot.status());
+    } catch (const std::exception& e) {
+      // Without a response the connection would stay paused for good.
+      response = EncodeErrorResponse(
+          Status::Internal(std::string("rebuild failed: ") + e.what()));
     }
-  }
-  // One drainer task per connection at a time: responses stay in request
-  // order while independent connections fan out across the pool.
-  if (submit) pool->Submit([this, conn] { DrainTask(conn); });
-}
-
-void QueryServer::Impl::DrainTask(std::shared_ptr<Conn> conn) {
-  for (;;) {
-    std::string payload;
     {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->pending.empty() || conn->dead.load()) {
-        conn->task_active = false;
-        return;
-      }
-      payload = std::move(conn->pending.front());
-      conn->pending.pop_front();
+      std::lock_guard<std::mutex> lock(completed_mu);
+      completed.push_back({conn, std::move(response)});
     }
-    Send(conn, WrapFrame(Handle(payload)));
+    const uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(wake_fd, &one, sizeof(one));
+  });
+}
+
+/// Queues each finished rebuild's response behind the responses already
+/// waiting on its connection, then resumes parsing that connection.
+void QueryServer::Impl::DeliverRebuilds() {
+  std::vector<Completion> batch;
+  {
+    std::lock_guard<std::mutex> lock(completed_mu);
+    batch.swap(completed);
+  }
+  for (Completion& done : batch) {
+    Conn& conn = *done.conn;
+    conn.rebuilding = false;
+    if (conn.closed) continue;
+    AppendFrame(&conn.out, done.response);
+    conn.last_activity_ns = NowNs();
+    if (ServeBuffered(done.conn)) Flush(done.conn);
   }
 }
 
-std::string QueryServer::Impl::Handle(const std::string& payload) {
-  queries.fetch_add(1, std::memory_order_relaxed);
-  auto request = DecodeRequest(payload);
-  if (!request.ok()) return EncodeErrorResponse(request.status());
-
-  if (request->op == QueryOp::kRebuild) {
-    if (!rebuild) {
-      return EncodeErrorResponse(Status::Unimplemented(
-          "this server was given no rebuild hook (serving a fixed snapshot)"));
-    }
-    const uint64_t count = rebuilds.fetch_add(1, std::memory_order_relaxed) + 1;
-    auto snapshot = rebuild(count);
-    if (!snapshot.ok()) return EncodeErrorResponse(snapshot.status());
-    return EncodeRebuildResponse(registry->Publish(std::move(*snapshot)));
+std::string QueryServer::Impl::Answer(const QueryRequest& request) {
+  if (request.op == QueryOp::kRebuild) {
+    return EncodeErrorResponse(Status::Unimplemented(
+        "this server was given no rebuild hook (serving a fixed snapshot)"));
   }
-
   SnapshotRegistry::ReadGuard guard = registry->Acquire();
   if (!guard) {
     return EncodeErrorResponse(
         Status::FailedPrecondition("no snapshot published yet"));
   }
   const HistogramSnapshot& snap = *guard;
-  switch (request->op) {
+  switch (request.op) {
     case QueryOp::kPoint:
-      if (request->point_x >= snap.domain_size()) {
+      if (request.point_x >= snap.domain_size()) {
         return EncodeErrorResponse(Status::OutOfRange(
-            "point " + std::to_string(request->point_x) +
+            "point " + std::to_string(request.point_x) +
             " outside domain [0, " + std::to_string(snap.domain_size()) + ")"));
       }
-      return EncodeEstimateResponse(PointEstimate(snap, request->point_x),
+      return EncodeEstimateResponse(PointEstimate(snap, request.point_x),
                                     guard.version());
     case QueryOp::kRange:
-      if (request->range_lo > request->range_hi ||
-          request->range_hi > snap.domain_size()) {
+      if (request.range_lo > request.range_hi ||
+          request.range_hi > snap.domain_size()) {
         return EncodeErrorResponse(Status::OutOfRange(
-            "range [" + std::to_string(request->range_lo) + ", " +
-            std::to_string(request->range_hi) + ") not within [0, " +
+            "range [" + std::to_string(request.range_lo) + ", " +
+            std::to_string(request.range_hi) + ") not within [0, " +
             std::to_string(snap.domain_size()) + ")"));
       }
       return EncodeEstimateResponse(
-          RangeSum(snap, request->range_lo, request->range_hi),
-          guard.version());
+          RangeSum(snap, request.range_lo, request.range_hi), guard.version());
     case QueryOp::kTopK:
-      return EncodeTopKResponse(snap.TopCoefficients(request->topk_count),
+      return EncodeTopKResponse(snap.TopCoefficients(request.topk_count),
                                 guard.version());
     case QueryOp::kStats: {
       ServeStats st;
@@ -483,17 +478,9 @@ std::string QueryServer::Impl::Handle(const std::string& payload) {
   return EncodeErrorResponse(Status::Internal("unreachable op"));
 }
 
-void QueryServer::Impl::Send(const std::shared_ptr<Conn>& conn,
-                             const std::string& frame) {
-  std::lock_guard<std::mutex> lock(conn->mu);
-  if (conn->dead.load()) return;
-  conn->out.append(frame);
-  conn->last_activity_ns.store(NowNs(), std::memory_order_relaxed);
-  FlushLocked(conn.get());
-}
-
-void QueryServer::Impl::FlushLocked(Conn* conn) {
-  if (conn->dead.load()) return;
+/// Sends as much of conn->out as the socket takes and arms EPOLLOUT for the
+/// rest. A send error closes this connection only; returns false then.
+bool QueryServer::Impl::Flush(const std::shared_ptr<Conn>& conn) {
   while (conn->out_off < conn->out.size()) {
     ssize_t n;
     if (const int fe = FailpointHit("serve.send"); fe != 0) {
@@ -516,12 +503,10 @@ void QueryServer::Impl::FlushLocked(Conn* conn) {
         ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
         conn->want_write = true;
       }
-      return;
+      return true;
     }
-    // Hard error: mark dead; shutdown() nudges the reactor to clean up.
-    conn->dead.store(true);
-    ::shutdown(conn->fd, SHUT_RDWR);
-    return;
+    CloseConn(conn);
+    return false;
   }
   conn->out.clear();
   conn->out_off = 0;
@@ -532,6 +517,7 @@ void QueryServer::Impl::FlushLocked(Conn* conn) {
     ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
     conn->want_write = false;
   }
+  return true;
 }
 
 void QueryServer::Impl::Stop() {
@@ -540,7 +526,8 @@ void QueryServer::Impl::Stop() {
   uint64_t one = 1;
   [[maybe_unused]] ssize_t n = ::write(wake_fd, &one, sizeof(one));
   if (reactor.joinable()) reactor.join();
-  pool.reset();  // drains in-flight drainer tasks
+  pool.reset();        // waits for rebuilds still running
+  completed.clear();   // their responses have no reactor left to send them
   if (epoll_fd >= 0) ::close(epoll_fd);
   if (wake_fd >= 0) ::close(wake_fd);
   epoll_fd = -1;

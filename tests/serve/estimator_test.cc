@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <numeric>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -60,6 +62,31 @@ double NaiveRange(const HistogramSnapshot& snap, uint64_t lo, uint64_t hi) {
   return est;
 }
 
+// The pre-O(log u) serve RangeSum: per level, every retained coefficient from
+// the block holding lo through the block holding hi-1, including the interior
+// blocks whose basis range sum is exactly +0.0. RangeSum now skips those; it
+// must still match this loop bit for bit.
+double LevelRunRange(const HistogramSnapshot& snap, uint64_t lo, uint64_t hi) {
+  const uint64_t u = snap.domain_size();
+  double est = 0.0;
+  if (lo >= hi) return est;
+  const std::vector<uint64_t>& idx = snap.indices();
+  const std::vector<double>& val = snap.values();
+  if (snap.has_average()) est += val[0] * BasisRangeSum(0, lo, hi, u);
+  for (uint32_t j = 0; j < snap.num_levels(); ++j) {
+    auto [first, last] = snap.LevelRange(j);
+    const uint64_t block = u >> j;
+    const uint64_t lo_idx = (uint64_t{1} << j) + lo / block;
+    const uint64_t hi_idx = (uint64_t{1} << j) + (hi - 1) / block;
+    for (size_t pos = first; pos < last; ++pos) {
+      if (idx[pos] >= lo_idx && idx[pos] <= hi_idx) {
+        est += val[pos] * BasisRangeSum(idx[pos], lo, hi, u);
+      }
+    }
+  }
+  return est;
+}
+
 // The old inline SSE formula: start from "drop everything" (total energy),
 // then for each kept coefficient, in index-ascending order, swap w^2 for
 // (w - what)^2. The serve estimator promises this exact accumulation order.
@@ -104,6 +131,48 @@ TEST(ServeEstimatorTest, RangeSumBitIdenticalToNaiveSweep) {
   EXPECT_EQ(Bits(RangeSum(snap, 0, 0)), Bits(NaiveRange(snap, 0, 0)));
   EXPECT_EQ(Bits(RangeSum(snap, 0, u)), Bits(NaiveRange(snap, 0, u)));
   EXPECT_EQ(Bits(RangeSum(snap, u, u)), Bits(NaiveRange(snap, u, u)));
+}
+
+TEST(ServeEstimatorTest, RangeSumBitIdenticalToLevelRunLoop) {
+  constexpr uint64_t u = 1024;
+  // Dense (every block retained, so interior blocks really are skipped) and
+  // sparse synopses, each with and without the average coefficient.
+  std::vector<HistogramSnapshot> snaps;
+  for (size_t k : {size_t{u}, size_t{40}}) {
+    HistogramSnapshot with_avg = RandomSnapshot(u, k, 31 + k);
+    ASSERT_TRUE(with_avg.has_average()) << "k=" << k;
+    std::vector<WCoeff> details = with_avg.Coefficients();
+    details.erase(details.begin());
+    snaps.push_back(HistogramSnapshot::FromCoefficients(u, details));
+    ASSERT_FALSE(snaps.back().has_average());
+    snaps.push_back(std::move(with_avg));
+  }
+
+  std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+      {0, 0}, {u, u}, {17, 17}, {0, u}, {0, 1}, {u - 1, u}, {0, u / 2},
+      {u / 2, u}, {1, u - 1}};
+  for (uint64_t x : {0ul, 1ul, 511ul, 512ul, 1023ul}) ranges.push_back({x, x + 1});
+  for (uint64_t block = 2; block <= u; block *= 2) {  // block-aligned, every level
+    ranges.push_back({block, std::min(u, 3 * block)});
+    ranges.push_back({u - block, u});
+    ranges.push_back({block / 2, u - block / 2});
+  }
+  Rng rng(99);
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t a = rng.NextBounded(u + 1);
+    const uint64_t b = rng.NextBounded(u + 1);
+    ranges.push_back({std::min(a, b), std::max(a, b)});
+  }
+
+  for (size_t s = 0; s < snaps.size(); ++s) {
+    for (auto [lo, hi] : ranges) {
+      const uint64_t got = Bits(RangeSum(snaps[s], lo, hi));
+      ASSERT_EQ(got, Bits(LevelRunRange(snaps[s], lo, hi)))
+          << "snapshot " << s << " lo=" << lo << " hi=" << hi;
+      ASSERT_EQ(got, Bits(NaiveRange(snaps[s], lo, hi)))
+          << "snapshot " << s << " lo=" << lo << " hi=" << hi;
+    }
+  }
 }
 
 TEST(ServeEstimatorTest, SseBitIdenticalToInlineFormula) {

@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <bit>
+#include <chrono>
+#include <cstring>
+#include <future>
+#include <latch>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,6 +46,66 @@ std::shared_ptr<const HistogramSnapshot> MakeSnapshot(uint64_t u, size_t k,
   meta.algorithm = "test-fixture";
   return std::make_shared<const HistogramSnapshot>(
       HistogramSnapshot::FromCoefficients(u, TopKByMagnitude(coeffs, k), meta));
+}
+
+// A bare TCP connection for tests that need control over how request bytes
+// are split across writes (ServeClient always sends one whole frame).
+class RawConn {
+ public:
+  explicit RawConn(int port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~RawConn() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  bool ok() const { return fd_ >= 0; }
+
+  bool Send(const std::string& bytes) {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  /// The payload of the next response frame; empty on EOF or error.
+  std::string ReadFrame() {
+    char prefix[sizeof(uint32_t)];
+    if (!ReadExactly(prefix, sizeof(prefix))) return {};
+    uint32_t len;
+    std::memcpy(&len, prefix, sizeof(len));
+    std::string payload(len, '\0');
+    if (!ReadExactly(payload.data(), len)) return {};
+    return payload;
+  }
+
+ private:
+  bool ReadExactly(char* out, size_t n) {
+    while (n > 0) {
+      const ssize_t got = ::recv(fd_, out, n, 0);
+      if (got <= 0) return false;
+      out += got;
+      n -= static_cast<size_t>(got);
+    }
+    return true;
+  }
+
+  int fd_ = -1;
+};
+
+std::string Frame(QueryOp op, uint64_t a = 0, uint64_t b = 0) {
+  QueryRequest request;
+  request.op = op;
+  request.point_x = a;
+  request.range_lo = a;
+  request.range_hi = b;
+  request.topk_count = static_cast<uint32_t>(a);
+  return WrapFrame(EncodeRequest(request));
 }
 
 class QueryServerTest : public ::testing::Test {
@@ -192,6 +262,101 @@ TEST_F(QueryServerTest, ConcurrentClientsWithRebuildsStayConsistent) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GE(server_->queries_served(),
             static_cast<uint64_t>(kClients * kQueriesPerClient));
+}
+
+TEST_F(QueryServerTest, PipelinedFramesAnswerInOrderAcrossRebuild) {
+  auto v1 = MakeSnapshot(64, 12, 3);
+  registry_.Publish(v1);
+  StartAndConnect([&](uint64_t count)
+                      -> StatusOr<std::shared_ptr<const HistogramSnapshot>> {
+    // Long enough that the frames behind the rebuild are surely buffered.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return MakeSnapshot(64, 12, 100 + count);
+  });
+  RawConn conn(server_->port());
+  ASSERT_TRUE(conn.ok());
+
+  // One write carries six whole frames and the head of a seventh.
+  const std::string last = Frame(QueryOp::kPoint, 9);
+  const std::string batch =
+      Frame(QueryOp::kPoint, 3) + Frame(QueryOp::kRebuild) +
+      Frame(QueryOp::kPoint, 3) + WrapFrame(std::string(1, '\x7f')) +
+      Frame(QueryOp::kTopK, 4) + Frame(QueryOp::kStats) + last.substr(0, 6);
+  ASSERT_TRUE(conn.Send(batch));
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(conn.Send(last.substr(6)));
+
+  auto before = DecodeEstimateResponse(conn.ReadFrame());
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->version, 1u);
+  EXPECT_EQ(Bits(before->estimate), Bits(PointEstimate(*v1, 3)));
+
+  auto rebuilt = DecodeRebuildResponse(conn.ReadFrame());
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(*rebuilt, 2u);
+  SnapshotRegistry::ReadGuard v2 = registry_.Acquire();
+  ASSERT_EQ(v2.version(), 2u);
+
+  auto after = DecodeEstimateResponse(conn.ReadFrame());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->version, 2u);
+  EXPECT_EQ(Bits(after->estimate), Bits(PointEstimate(*v2, 3)));
+
+  auto malformed = DecodeEstimateResponse(conn.ReadFrame());
+  ASSERT_FALSE(malformed.ok());
+  EXPECT_EQ(malformed.status().code(), StatusCode::kInvalidArgument);
+
+  auto top = DecodeTopKResponse(conn.ReadFrame());
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(top->version, 2u);
+  EXPECT_EQ(top->coefficients, v2->TopCoefficients(4));
+
+  auto stats = DecodeStatsResponse(conn.ReadFrame());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->version, 2u);
+  EXPECT_EQ(stats->queries_served, 6u);
+
+  auto split = DecodeEstimateResponse(conn.ReadFrame());
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  EXPECT_EQ(split->version, 2u);
+  EXPECT_EQ(Bits(split->estimate), Bits(PointEstimate(*v2, 9)));
+}
+
+TEST_F(QueryServerTest, QueriesAreNotQueuedBehindARebuild) {
+  registry_.Publish(MakeSnapshot(64, 12, 1));
+  std::latch release(1);
+  std::atomic<bool> rebuild_started{false};
+  ServerOptions options;
+  options.workers = 1;
+  server_ = std::make_unique<QueryServer>(
+      &registry_, options,
+      [&](uint64_t count) -> StatusOr<std::shared_ptr<const HistogramSnapshot>> {
+        rebuild_started.store(true);
+        release.wait();
+        return MakeSnapshot(64, 12, 100 + count);
+      });
+  ASSERT_TRUE(server_->Start().ok());
+
+  ServeClient admin;
+  ASSERT_TRUE(admin.Connect("127.0.0.1", server_->port()).ok());
+  auto rebuild = std::async(std::launch::async, [&] { return admin.Rebuild(); });
+  while (!rebuild_started.load()) std::this_thread::yield();
+
+  // The only worker is stuck in the rebuild; a point query on another
+  // connection must still be answered, from the old version.
+  ASSERT_TRUE(client_.Connect("127.0.0.1", server_->port()).ok());
+  auto point = std::async(std::launch::async, [&] { return client_.Point(5); });
+  const bool answered =
+      point.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  release.count_down();
+  ASSERT_TRUE(answered) << "point query waited for the rebuild";
+  auto r = point.get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->version, 1u);
+
+  auto v = rebuild.get();
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(*v, 2u);
 }
 
 TEST_F(QueryServerTest, StopIsIdempotentAndDropsClients) {

@@ -12,6 +12,9 @@ Validates, across README.md and every docs/*.md file:
      strand the docs.
   3. README.md does not duplicate a docs/ heading: the README is an
      overview that links into docs/, not a second copy of it.
+  4. Every markdown file that a source file under src/, bench/, tools/
+     or tests/ names (in a comment or a help string) exists, resolved
+     from the repo root, the file's own directory, or docs/.
 
 Exits 0 when clean, 1 with one line per problem otherwise.
 
@@ -31,6 +34,12 @@ FENCE_RE = re.compile(r"^(```|~~~)")
 CODE_REF_RE = re.compile(
     r"\b((?:src|tests|tools|bench|examples|docs)/[\w./-]+\.(?:h|cc|cpp|py|md|json|txt|yml)):(\d+)\b"
 )
+
+
+# A markdown file name in source text: a whole path-like token ending in .md.
+MD_NAME_RE = re.compile(r"(?<![\w./-])(\w[\w./-]*\.md)(?!\w)")
+SOURCE_DIRS = ("src", "bench", "tools", "tests")
+SOURCE_EXTS = (".h", ".cc", ".cpp", ".py", ".txt")
 
 
 def github_slug(heading):
@@ -115,6 +124,30 @@ def check_file(path, root, anchors_by_file, problems):
                 )
 
 
+def check_source_md_refs(root, problems):
+    """Flags markdown file names in source files that resolve to no file."""
+    docs_dir = os.path.join(root, "docs")
+    for top in SOURCE_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if not name.endswith(SOURCE_EXTS):
+                    continue
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8", errors="replace") as f:
+                    for lineno, line in enumerate(f, 1):
+                        for m in MD_NAME_RE.finditer(line):
+                            ref = m.group(1)
+                            if not any(
+                                os.path.exists(os.path.join(base, ref))
+                                for base in (root, dirpath, docs_dir)
+                            ):
+                                problems.append(
+                                    "%s:%d: reference to missing %s"
+                                    % (os.path.relpath(path, root), lineno, ref)
+                                )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=None, help="repo root (default: parent of tools/)")
@@ -140,6 +173,7 @@ def main():
     anchors_by_file = {}
     for path in targets:
         check_file(path, root, anchors_by_file, problems)
+    check_source_md_refs(root, problems)
 
     # The README must not duplicate docs/ sections. Top-level titles (#) are
     # allowed to repeat ("wavemr" etc.); section headings (##+) are not.
