@@ -157,7 +157,7 @@ StatusOr<IoBackendKind> ParseIoBackendKind(const std::string& name);
 /// Every knob of the spill I/O plane in one struct, plumbed BuildOptions ->
 /// MrEnv -> ShufflePlane/FileRunCursor. Consolidates what used to be spread
 /// over CostModel::shuffle_buffer_bytes (still honored as the deprecated
-/// spelling) and the per-call SpillIoPolicy retry arguments.
+/// spelling) and the per-call spill retry-policy arguments.
 struct IoOptions {
   /// Engine selection (--spill-io). kAuto resolves via ResolvedBackend().
   IoBackendKind backend = IoBackendKind::kAuto;

@@ -7,7 +7,6 @@
 #include <exception>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,7 +28,6 @@
 #include "mapreduce/split_access.h"
 #include "mapreduce/state_store.h"
 #include "mapreduce/stats.h"
-#include "mapreduce/steal.h"
 
 namespace wavemr {
 
@@ -52,11 +50,11 @@ struct MrEnv {
   /// value produces bit-identical results; only wall-clock changes.
   int threads = 1;
 
-  /// Equi-depth reduce partitions for sorted rounds: 0 = match the round's
-  /// map thread count, N >= 1 = exactly N partitions. Any value produces
-  /// bit-identical results (partitions are disjoint global-rank ranges
-  /// delivered in rank order, exactly the full merge's stream); only
-  /// wall-clock changes.
+  /// Equi-depth reduce ranges for sorted rounds: 0 = match the round's map
+  /// thread count, N >= 1 = exactly N planned ranges, merged by min(N,
+  /// threads) workers. Any value produces bit-identical results (workers
+  /// merge disjoint global-rank slices that are absorbed in rank order,
+  /// exactly the full merge's stream); only wall-clock changes.
   int reduce_tasks = 0;
 
   /// Temp directory for external shuffle spill files, lazily created on the
@@ -153,209 +151,151 @@ struct MapTaskOutput {
 };
 
 /// Outcome of one sorted-round delivery: the partition count actually used
-/// plus the planned per-range load and the steal count for RoundStats.
+/// plus the planned per-range load for RoundStats.
 struct SortedMergeResult {
   int reduce_tasks_used = 1;
   uint64_t range_max_pairs = 0;  // planned pairs in the largest range
   uint64_t range_min_pairs = 0;  // planned pairs in the smallest range
-  uint64_t steals = 0;           // schedule-dependent; wall-clock only
 };
 
 /// Sorted-round delivery: merges the plane's retained + spilled runs into
-/// `absorb`, split into `reduce_tasks` equi-depth partitions at exact
-/// global ranks r*n/R (ShufflePlane::CutForRank binary-searches every
-/// resident run in memory and every spilled run on disk), so each range
-/// holds n/R pairs within one regardless of key skew -- equal-width key
-/// spans left Zipf workloads with nearly all pairs in the low ranges, and
-/// degenerated to a single range when every key was equal. Parallel
-/// delivery claims ranges in rank slices through a RankStealScheduler:
-/// finished workers steal the upper half of a straggler's unclaimed tail
-/// and merge it through the same loser tree. Workers stage each slice's
-/// pairs in columnar buffers and the driver absorbs staged slices in
-/// ascending rank order -- exactly the stream a single full merge
-/// delivers, so results are bit-identical for every (reduce_tasks,
-/// threads, buffer size, steal schedule) combination.
+/// `absorb` in one key-sorted stream. `reduce_tasks` = R plans R equi-depth
+/// ranges at exact global ranks r*n/R, so each holds n/R pairs within one
+/// regardless of key skew; the planned loads are reported, and R bounds the
+/// merge workers at min(R, pool_threads).
 ///
-/// `steal_slice_pairs` overrides the claim granularity (0 = auto); tests
-/// use tiny slices to force many-slice, steal-heavy schedules.
+/// Parallel delivery cuts the merged stream into fixed-size rank slices.
+/// Workers claim slices in ascending order from one counter, cut each at
+/// both ends (ShufflePlane::CutForRank binary-searches every resident run in
+/// memory and every spilled run on disk), merge it through the loser tree
+/// into a columnar buffer, and stage it by slice number; the driver absorbs
+/// slices 0, 1, 2, ... as each becomes ready. A worker may only claim a
+/// slice within 2*pool_threads + 2 of the absorb frontier, so staging stays
+/// a small slice-sized fraction of the payload. The absorbed stream is
+/// exactly the single full merge's, so results are bit-identical for every
+/// (reduce_tasks, threads, buffer size, slice size) combination. With one
+/// thread or one range the plane merges straight into the reducer.
+///
+/// `slice_pairs` overrides the slice size (0 = auto); tests use tiny slices
+/// to force many-slice schedules.
 template <typename K, typename V, typename Absorb>
 SortedMergeResult DeliverSortedMerge(ShufflePlane<K, V>& plane, MrEnv* env,
                                      int reduce_tasks, int pool_threads,
                                      Absorb&& absorb,
-                                     uint64_t steal_slice_pairs = 0) {
+                                     uint64_t slice_pairs = 0) {
   SortedMergeResult result;
-  if constexpr (std::is_integral_v<K> && std::is_unsigned_v<K>) {
-    const uint64_t n = plane.pairs();
-    if (reduce_tasks > 1 && n > 0) {
-      const int R = reduce_tasks;
-      // Equi-depth boundaries at exact global ranks. When n < R the excess
-      // ranges are planned empty (duplicate bounds) and skipped below.
-      std::vector<uint64_t> bounds(static_cast<size_t>(R) + 1);
-      for (int r = 0; r <= R; ++r) {
-        bounds[static_cast<size_t>(r)] = static_cast<uint64_t>(
-            (static_cast<unsigned __int128>(n) * static_cast<unsigned>(r)) /
-            static_cast<unsigned>(R));
-      }
-      result.reduce_tasks_used = R;
-      result.range_max_pairs = 0;
-      result.range_min_pairs = n;
-      for (int r = 0; r < R; ++r) {
-        const uint64_t c = bounds[r + 1] - bounds[r];
-        result.range_max_pairs = std::max(result.range_max_pairs, c);
-        result.range_min_pairs = std::min(result.range_min_pairs, c);
-      }
-      if (pool_threads > 1) {
-        struct Staged {
-          std::vector<K> keys;
-          std::vector<V> values;
-        };
-        // Claim granularity: coarse enough that the per-slice cut searches
-        // are noise, fine enough that a straggler's tail is worth stealing.
-        const uint64_t slice =
-            steal_slice_pairs > 0
-                ? steal_slice_pairs
-                : std::max<uint64_t>(
-                      4096, n / (static_cast<uint64_t>(R) * 8));
-        RankStealScheduler sched(bounds, slice, 2 * slice);
-        ThreadPool* pool = env->EnsurePool(pool_threads);
-        std::mutex mu;
-        std::condition_variable cv;
-        std::map<uint64_t, Staged> staged;  // begin rank -> merged slice
-        uint64_t staged_pairs = 0;          // payload pairs parked in `staged`
-        uint64_t frontier = 0;              // next rank the driver absorbs
-        bool stop = false;
-        std::exception_ptr worker_error;
-        // Bounded staging, like the old sliding window: workers park at
-        // most ~2 slices per thread ahead of the driver, so peak staging
-        // memory stays a small slice-sized fraction of the merged payload
-        // even when one worker races far ahead of the absorb frontier.
-        const uint64_t staged_cap =
-            slice * (2 * static_cast<uint64_t>(pool_threads) + 2);
-        auto worker = [&] {
-          try {
-            size_t chunk = 0;
-            while (sched.NextChunk(&chunk)) {
-              MergeCut<K> lo_cut;
-              uint64_t lo_rank = 0;
-              bool have_lo = false;
-              RankStealScheduler::Slice sl;
-              while (sched.ClaimSlice(chunk, &sl)) {
-                // Consecutive slices of one chunk share a boundary: reuse
-                // the previous upper cut instead of re-searching.
-                if (!have_lo || lo_rank != sl.begin) {
-                  lo_cut = plane.CutForRank(sl.begin);
-                }
-                const bool has_hi = sl.end < n;
-                MergeCut<K> hi_cut;
-                if (has_hi) hi_cut = plane.CutForRank(sl.end);
-                Staged s;
-                s.keys.reserve(sl.end - sl.begin);
-                s.values.reserve(sl.end - sl.begin);
-                plane.MergeCutRange(lo_cut, has_hi, hi_cut,
-                                    [&s](const K& k, const V& v) {
-                                      s.keys.push_back(k);
-                                      s.values.push_back(v);
-                                    });
-                {
-                  std::unique_lock<std::mutex> lock(mu);
-                  // The slice the driver is waiting for must never block
-                  // on the cap, or the pipeline deadlocks.
-                  cv.wait(lock, [&] {
-                    return stop || sl.begin == frontier ||
-                           staged_pairs < staged_cap;
-                  });
-                  if (stop) return;
-                  staged_pairs += s.keys.size();
-                  staged.emplace(sl.begin, std::move(s));
-                }
-                cv.notify_all();
-                lo_cut = hi_cut;
-                lo_rank = sl.end;
-                have_lo = has_hi;
-              }
-            }
-          } catch (...) {
-            sched.Abort();
-            {
-              std::lock_guard<std::mutex> lock(mu);
-              if (!worker_error) worker_error = std::current_exception();
-              stop = true;
-            }
-            cv.notify_all();
-          }
-        };
-        const int workers = pool_threads < R ? pool_threads : R;
-        std::vector<std::future<void>> futs;
-        futs.reserve(static_cast<size_t>(workers));
-        for (int w = 0; w < workers; ++w) futs.push_back(pool->Submit(worker));
-        try {
-          std::unique_lock<std::mutex> lock(mu);
-          while (frontier < n) {
-            cv.wait(lock,
-                    [&] { return stop || staged.count(frontier) > 0; });
-            if (stop) break;
-            auto it = staged.find(frontier);
-            Staged s = std::move(it->second);
-            staged.erase(it);
-            staged_pairs -= s.keys.size();
-            const uint64_t next = frontier + s.keys.size();
-            lock.unlock();
-            cv.notify_all();  // a cap-blocked worker can park a slice now
-            for (size_t i = 0; i < s.keys.size(); ++i) {
-              absorb(s.keys[i], s.values[i]);
-            }
-            lock.lock();
-            frontier = next;
-            cv.notify_all();  // the worker holding rank `next` may be waiting
-          }
-        } catch (...) {
-          // The reducer threw on the driver. Running workers reference this
-          // frame's plane and locals; stop them and wait them out before
-          // the frame unwinds.
-          sched.Abort();
-          {
-            std::lock_guard<std::mutex> lock(mu);
-            stop = true;
-          }
-          cv.notify_all();
-          for (auto& f : futs) {
-            if (f.valid()) f.wait();
-          }
-          throw;
-        }
-        for (auto& f : futs) f.get();
-        if (worker_error) std::rethrow_exception(worker_error);
-        result.steals = sched.steals();
-      } else {
-        // Serial: deliver each range straight into the reducer -- no
-        // staging memory, no scheduler, same stream. Adjacent ranges share
-        // a boundary cut, so each boundary is searched once.
-        MergeCut<K> lo_cut;
-        uint64_t lo_rank = 0;
-        bool have_lo = false;
-        for (int r = 0; r < R; ++r) {
-          const uint64_t b = bounds[r];
-          const uint64_t e = bounds[r + 1];
-          if (b == e) continue;  // planned-empty range (n < R)
-          if (!have_lo || lo_rank != b) lo_cut = plane.CutForRank(b);
-          const bool has_hi = e < n;
-          MergeCut<K> hi_cut;
-          if (has_hi) hi_cut = plane.CutForRank(e);
-          plane.MergeCutRange(lo_cut, has_hi, hi_cut, absorb);
-          lo_cut = hi_cut;
-          lo_rank = e;
-          have_lo = has_hi;
-        }
-      }
-      return result;
-    }
+  const uint64_t n = plane.pairs();
+  result.range_max_pairs = n;
+  result.range_min_pairs = n;
+  if (reduce_tasks > 1 && n > 0) {
+    // Equi-depth range r holds ranks [r*n/R, (r+1)*n/R), so every range
+    // holds floor(n/R) or ceil(n/R) pairs; when n < R the excess ranges are
+    // planned empty.
+    const uint64_t R = static_cast<uint64_t>(reduce_tasks);
+    result.reduce_tasks_used = reduce_tasks;
+    result.range_max_pairs = (n + R - 1) / R;
+    result.range_min_pairs = n / R;
   }
-  (void)env;
-  (void)pool_threads;
-  (void)steal_slice_pairs;
-  plane.Merge(absorb);
-  result.range_max_pairs = plane.pairs();
-  result.range_min_pairs = plane.pairs();
+  if (pool_threads <= 1 || result.reduce_tasks_used <= 1) {
+    plane.Merge(absorb);
+    return result;
+  }
+
+  struct Staged {
+    std::vector<K> keys;
+    std::vector<V> values;
+    bool ready = false;
+  };
+  // Coarse enough that the two cut searches per slice are noise, fine
+  // enough that every worker has slices to claim.
+  const uint64_t R = static_cast<uint64_t>(reduce_tasks);
+  const uint64_t slice =
+      slice_pairs > 0 ? slice_pairs : std::max<uint64_t>(4096, n / (R * 8));
+  const uint64_t num_slices = (n + slice - 1) / slice;
+  const uint64_t window = 2 * static_cast<uint64_t>(pool_threads) + 2;
+  ThreadPool* pool = env->EnsurePool(pool_threads);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<Staged> staged(num_slices);
+  uint64_t next = 0;      // next slice a worker claims
+  uint64_t frontier = 0;  // next slice the driver absorbs
+  bool stop = false;
+  std::exception_ptr worker_error;
+  auto worker = [&] {
+    try {
+      for (;;) {
+        uint64_t k = 0;
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          cv.wait(lock, [&] {
+            return stop || next >= num_slices || next < frontier + window;
+          });
+          if (stop || next >= num_slices) return;
+          k = next++;
+        }
+        const uint64_t begin = k * slice;
+        const uint64_t end = std::min(n, begin + slice);
+        const bool has_hi = end < n;
+        const MergeCut<K> lo_cut = plane.CutForRank(begin);
+        const MergeCut<K> hi_cut =
+            has_hi ? plane.CutForRank(end) : MergeCut<K>{};
+        Staged s;
+        s.keys.reserve(end - begin);
+        s.values.reserve(end - begin);
+        plane.MergeCutRange(lo_cut, has_hi, hi_cut,
+                            [&s](const K& key, const V& value) {
+                              s.keys.push_back(key);
+                              s.values.push_back(value);
+                            });
+        s.ready = true;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          staged[k] = std::move(s);
+        }
+        cv.notify_all();
+      }
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!worker_error) worker_error = std::current_exception();
+        stop = true;
+      }
+      cv.notify_all();
+    }
+  };
+  const int workers = std::min(pool_threads, reduce_tasks);
+  std::vector<std::future<void>> futs;
+  futs.reserve(static_cast<size_t>(workers));
+  for (int w = 0; w < workers; ++w) futs.push_back(pool->Submit(worker));
+  try {
+    for (uint64_t k = 0; k < num_slices; ++k) {
+      Staged s;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return stop || staged[k].ready; });
+        if (stop) break;
+        s = std::move(staged[k]);
+        frontier = k + 1;
+      }
+      cv.notify_all();  // the window moved: a worker may claim a slice
+      for (size_t i = 0; i < s.keys.size(); ++i) {
+        absorb(s.keys[i], s.values[i]);
+      }
+    }
+  } catch (...) {
+    // The reducer threw on the driver. Running workers reference this
+    // frame's plane and locals; stop them and wait them out before the
+    // frame unwinds.
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      stop = true;
+    }
+    cv.notify_all();
+    for (auto& f : futs) f.wait();
+    throw;
+  }
+  for (auto& f : futs) f.get();
+  if (worker_error) std::rethrow_exception(worker_error);
   return result;
 }
 
@@ -553,9 +493,9 @@ struct JobPlan {
 /// private columnar ShuffleRun (sorted on the worker under sorted_shuffle);
 /// the driver hands runs to the ShufflePlane in split-index order, so
 /// shuffle accounting, counters, and reducer results are bit-identical for
-/// every thread count. Sorted rounds additionally partition the merge into
-/// env->reduce_tasks equi-depth global-rank ranges (0 = one per map thread)
-/// executed on the same pool with work stealing, and spill retained runs past
+/// every thread count. Sorted rounds additionally plan env->reduce_tasks
+/// equi-depth global-rank ranges (0 = one per map thread), merge the stream
+/// in rank slices on the same pool, and spill retained runs past
 /// CostModel::shuffle_buffer_bytes to env->spill_dir -- neither changes any
 /// result bit (see internal::DeliverSortedMerge and ShufflePlane).
 template <typename K2, typename V2>
@@ -711,7 +651,6 @@ RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* 
     round.reduce_tasks_used = merged.reduce_tasks_used;
     round.reduce_range_max_pairs = merged.range_max_pairs;
     round.reduce_range_min_pairs = merged.range_min_pairs;
-    round.reduce_steals = merged.steals;
     round.reduce_wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - reduce_start)
                                .count();

@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -40,8 +39,11 @@ namespace wavemr {
 
 /// Packed columnar run of intermediate (key, value) pairs, in emit order.
 /// keys[i] and values[i] form pair i; the arrays always have equal length.
+/// Every shuffle key is a uint64_t; `K` only spells it.
 template <typename K, typename V>
 struct ShuffleRun {
+  static_assert(std::is_same_v<K, uint64_t>, "shuffle keys are uint64_t");
+
   std::vector<K> keys;
   std::vector<V> values;
   /// Set by SortByKey; a sorted plane only merges sorted runs.
@@ -69,18 +71,11 @@ struct ShuffleRun {
   /// Stable sort by key: the resulting permutation is exactly what
   /// std::stable_sort over the equivalent pair vector would produce, so a
   /// tie-broken merge of sorted runs reproduces the old engine's global
-  /// stable_sort bit for bit. Unsigned integer keys (every shuffle key in
-  /// this codebase) take an LSD radix path -- O(n) passes over contiguous
-  /// columns instead of a comparison sort over strided pairs.
+  /// stable_sort bit for bit. An LSD radix sort -- O(n) passes over
+  /// contiguous columns instead of a comparison sort over strided pairs.
   void SortByKey() {
     if (sorted) return;
-    if (keys.size() > 1) {
-      if constexpr (std::is_integral_v<K> && std::is_unsigned_v<K>) {
-        RadixSortByKey();
-      } else {
-        PermutationSortByKey();
-      }
-    }
+    if (keys.size() > 1) RadixSortByKey();
     sorted = true;
   }
 
@@ -126,25 +121,6 @@ struct ShuffleRun {
       keys.swap(key_scratch);
       values.swap(value_scratch);
     }
-  }
-
-  /// Fallback for non-radix-sortable keys: stable-sort an index permutation,
-  /// then gather both columns through it.
-  void PermutationSortByKey() {
-    const size_t n = keys.size();
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    const K* k = keys.data();
-    std::stable_sort(order.begin(), order.end(),
-                     [k](uint32_t a, uint32_t b) { return k[a] < k[b]; });
-    std::vector<K> sorted_keys(n);
-    std::vector<V> sorted_values(n);
-    for (size_t i = 0; i < n; ++i) {
-      sorted_keys[i] = keys[order[i]];
-      sorted_values[i] = values[order[i]];
-    }
-    keys.swap(sorted_keys);
-    values.swap(sorted_values);
   }
 };
 
@@ -493,6 +469,8 @@ struct MergeCut {
 /// file removed).
 template <typename K, typename V>
 class ShufflePlane {
+  static_assert(std::is_same_v<K, uint64_t>, "shuffle keys are uint64_t");
+
  public:
   /// Wire bytes of a whole run: called once per run with the packed columns.
   using WireFn = std::function<uint64_t(const K* keys, const V* values, size_t n)>;
@@ -541,29 +519,19 @@ class ShufflePlane {
   }
 
   /// Sorted plane: loser-tree merge of every retained + spilled run into
-  /// `absorb(key, value)`, grouped and sorted by key.
+  /// `absorb(key, value)`, grouped and sorted by key. The zero cut starts
+  /// every run at index 0 (resolved without IO on spilled runs).
   template <typename Absorb>
-  void Merge(Absorb&& absorb) {
-    MergeImpl(/*bounded=*/false, K{}, /*has_hi=*/false, K{},
-              std::forward<Absorb>(absorb));
-  }
-
-  /// Merges only the pairs with key in [lo, hi) -- or [lo, inf) when
-  /// has_hi is false -- preserving the exact order the full Merge would
-  /// deliver them in. Each call opens its own file cursors, so disjoint
-  /// ranges can merge concurrently (the key-range partitioned reduce).
-  template <typename Absorb>
-  void MergeRange(const K& lo, bool has_hi, const K& hi, Absorb&& absorb) const {
-    MergeImpl(/*bounded=*/true, lo, has_hi, hi, std::forward<Absorb>(absorb));
+  void Merge(Absorb&& absorb) const {
+    MergeCutRange(MergeCut<K>{}, /*has_hi=*/false, MergeCut<K>{},
+                  std::forward<Absorb>(absorb));
   }
 
   /// Pairs whose key is < `key` (inclusive=false) or <= `key` (true),
   /// summed across every retained and spilled run. One in-memory
   /// binary search per resident run, one on-disk probe sequence per
-  /// spilled run. Unsigned integral keys only.
+  /// spilled run.
   uint64_t RankOfKey(const K& key, bool inclusive) const {
-    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
-                  "rank partitioning is defined over unsigned integral keys");
     EnsureSpillsComplete();
     std::vector<SpillKeyProbe<K>> probes = MakeSpillProbes();
     return RankOfKeyWith(probes, key, inclusive);
@@ -574,11 +542,8 @@ class ShufflePlane {
   /// (O(log key-span) RankOfKey probes), then walks that key's per-run
   /// group sizes in ordinal order to place the cut inside the key's
   /// duplicates. The end-of-stream position has no cut; callers express it
-  /// as an unbounded upper end (has_hi == false). Sorted planes with
-  /// unsigned integral keys only.
+  /// as an unbounded upper end (has_hi == false). Sorted planes only.
   MergeCut<K> CutForRank(uint64_t rank) const {
-    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
-                  "rank partitioning is defined over unsigned integral keys");
     EnsureSpillsComplete();
     WAVEMR_CHECK(rank < pairs_) << "cut rank past the merged stream";
     K lo{};
@@ -631,13 +596,11 @@ class ShufflePlane {
   /// the end when has_hi is false -- preserving the exact order the full
   /// Merge delivers them in. Disjoint adjacent cut ranges concatenate to
   /// the single-merge stream, including through the middle of a run of
-  /// duplicate keys (where MergeRange cannot place a boundary). Thread-safe
-  /// like MergeRange: each call opens its own file cursors.
+  /// duplicate keys (where a key boundary cannot fall). Thread-safe: each
+  /// call opens its own file cursors, so disjoint ranges merge concurrently.
   template <typename Absorb>
   void MergeCutRange(const MergeCut<K>& lo, bool has_hi, const MergeCut<K>& hi,
                      Absorb&& absorb) const {
-    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
-                  "rank partitioning is defined over unsigned integral keys");
     EnsureSpillsComplete();
     std::vector<MergeInput<K, V>> inputs;
     std::vector<std::unique_ptr<FileRunCursor<K, V>>> cursors;
@@ -663,6 +626,8 @@ class ShufflePlane {
       inputs.push_back(
           MergeInput<K, V>{nullptr, nullptr, 0, cursors.back().get(), s.ordinal});
     }
+    // Ordinal order keeps the loser tree's leaf numbering deterministic
+    // (inputs arrive resident-then-spilled above, not in arrival order).
     std::sort(inputs.begin(), inputs.end(),
               [](const MergeInput<K, V>& a, const MergeInput<K, V>& b) {
                 return a.ordinal < b.ordinal;
@@ -684,15 +649,11 @@ class ShufflePlane {
       if (!any || *max_key < hi) *max_key = hi;
       any = true;
     }
-    if constexpr (std::is_integral_v<K> && std::is_unsigned_v<K>) {
-      for (const Spilled& s : spilled_) {
-        if (s.info.num_pairs == 0) continue;
-        const K lo = static_cast<K>(s.info.min_key);
-        const K hi = static_cast<K>(s.info.max_key);
-        if (!any || lo < *min_key) *min_key = lo;
-        if (!any || *max_key < hi) *max_key = hi;
-        any = true;
-      }
+    for (const Spilled& s : spilled_) {
+      if (s.info.num_pairs == 0) continue;
+      if (!any || s.info.min_key < *min_key) *min_key = s.info.min_key;
+      if (!any || *max_key < s.info.max_key) *max_key = s.info.max_key;
+      any = true;
     }
     return any;
   }
@@ -767,23 +728,21 @@ class ShufflePlane {
   /// Largest-first minimizes file count for a given number of bytes evicted
   /// -- the same policy Hadoop's merge uses to pick spill victims.
   void SpillUntilWithinBudget() {
-    if constexpr (std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>) {
-      if (spill_dir_ == nullptr) return;  // counting-only plane
-      while (spill_.ShouldSpill(resident_bytes_) && !resident_.empty()) {
-        size_t victim = resident_.size();
-        for (size_t i = 0; i < resident_.size(); ++i) {
-          if (resident_[i].pinned || resident_[i].run.empty()) continue;
-          if (victim == resident_.size() ||
-              resident_[i].run.PayloadBytes() >
-                  resident_[victim].run.PayloadBytes()) {
-            victim = i;
-          }
+    if (spill_dir_ == nullptr) return;  // counting-only plane
+    while (spill_.ShouldSpill(resident_bytes_) && !resident_.empty()) {
+      size_t victim = resident_.size();
+      for (size_t i = 0; i < resident_.size(); ++i) {
+        if (resident_[i].pinned || resident_[i].run.empty()) continue;
+        if (victim == resident_.size() ||
+            resident_[i].run.PayloadBytes() >
+                resident_[victim].run.PayloadBytes()) {
+          victim = i;
         }
-        // Everything left is empty or pinned by a failed spill: over budget
-        // but nothing evictable. Carry on resident.
-        if (victim == resident_.size()) break;
-        SpillRun(victim);
       }
+      // Everything left is empty or pinned by a failed spill: over budget
+      // but nothing evictable. Carry on resident.
+      if (victim == resident_.size()) break;
+      SpillRun(victim);
     }
   }
 
@@ -799,18 +758,13 @@ class ShufflePlane {
     SpillFileInfo info;
     info.path = spill_dir_->NextFilePath("run-" + std::to_string(r.ordinal));
     info.num_pairs = r.run.size();
-    if constexpr (std::is_integral_v<K> && std::is_unsigned_v<K>) {
-      info.min_key = static_cast<uint64_t>(r.run.keys.front());
-      info.max_key = static_cast<uint64_t>(r.run.keys.back());
-      // Sparse key index for rank/partition probes: the run is sorted and
-      // in memory right now, so sampling block-leading keys is free.
-      info.block_keys.reserve(
-          static_cast<size_t>((info.num_pairs + kSpillIndexBlockPairs - 1) /
-                              kSpillIndexBlockPairs));
-      for (uint64_t b = 0; b * kSpillIndexBlockPairs < info.num_pairs; ++b) {
-        info.block_keys.push_back(
-            static_cast<uint64_t>(r.run.keys[b * kSpillIndexBlockPairs]));
-      }
+    info.min_key = r.run.keys.front();
+    info.max_key = r.run.keys.back();
+    // Sparse key index for rank/partition probes: the run is sorted and in
+    // memory right now, so sampling block-leading keys is free.
+    info.block_keys.reserve(static_cast<size_t>(SpillNumBlocks(info.num_pairs)));
+    for (uint64_t b = 0; b * kSpillIndexBlockPairs < info.num_pairs; ++b) {
+      info.block_keys.push_back(r.run.keys[b * kSpillIndexBlockPairs]);
     }
     if (io_->async()) {
       const int fe = FailpointHit("spill.write.submit");
@@ -1008,44 +962,6 @@ class ShufflePlane {
       if (max_sum <= rank) return false;
     }
     return min_sum > rank;
-  }
-
-  template <typename Absorb>
-  void MergeImpl(bool bounded, const K& lo, bool has_hi, const K& hi,
-                 Absorb&& absorb) const {
-    EnsureSpillsComplete();
-    std::vector<MergeInput<K, V>> inputs;
-    std::vector<std::unique_ptr<FileRunCursor<K, V>>> cursors;
-    inputs.reserve(resident_.size() + spilled_.size());
-    for (const Retained& r : resident_) {
-      const K* begin = r.run.keys.data();
-      const K* end = begin + r.run.size();
-      const K* s = bounded ? std::lower_bound(begin, end, lo) : begin;
-      const K* e = (bounded && has_hi) ? std::lower_bound(s, end, hi) : end;
-      inputs.push_back(MergeInput<K, V>{
-          s, r.run.values.data() + (s - begin), static_cast<size_t>(e - s),
-          nullptr, r.ordinal});
-    }
-    for (const Spilled& s : spilled_) {
-      const uint64_t begin =
-          bounded ? FileRunCursor<K, V>::LowerBoundIndex(s.info, lo) : 0;
-      const uint64_t end = (bounded && has_hi)
-                               ? FileRunCursor<K, V>::LowerBoundIndex(s.info, hi)
-                               : s.info.num_pairs;
-      cursors.push_back(std::make_unique<FileRunCursor<K, V>>(
-          s.info, begin, end, FileRunCursor<K, V>::kDefaultBlockPairs,
-          io_->options().retry, io_));
-      inputs.push_back(
-          MergeInput<K, V>{nullptr, nullptr, 0, cursors.back().get(), s.ordinal});
-    }
-    // Ordinal order keeps the loser tree's leaf numbering deterministic
-    // (inputs arrive resident-then-spilled above, not in arrival order).
-    std::sort(inputs.begin(), inputs.end(),
-              [](const MergeInput<K, V>& a, const MergeInput<K, V>& b) {
-                return a.ordinal < b.ordinal;
-              });
-    RunMerger<K, V> merger(inputs);
-    merger.Drain(absorb);
   }
 
   void DeleteSpillFiles() {

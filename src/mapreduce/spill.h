@@ -109,11 +109,6 @@ class SpillIoError : public std::runtime_error {
   IoResult io_;
 };
 
-/// Deprecated spelling: the retry policy moved to core/io.h (IoRetryPolicy,
-/// carried inside IoOptions) so sync and async paths share one transient
-/// table. Old call sites keep compiling through this alias.
-using SpillIoPolicy = IoRetryPolicy;
-
 template <typename K>
 class SpillKeyProbe;
 
@@ -126,9 +121,8 @@ struct SpillFileInfo {
   uint64_t max_key = 0;  // keys.back() at spill time
   uint64_t file_bytes = 0;
   /// keys[b * kSpillIndexBlockPairs] for each block b, recorded at spill
-  /// time (unsigned integral keys only, like min/max). Lets rank and
-  /// partition probes bracket any lower bound inside one block without
-  /// touching the file.
+  /// time. Lets rank and partition probes bracket any lower bound inside
+  /// one block without touching the file.
   std::vector<uint64_t> block_keys;
 };
 
@@ -572,31 +566,6 @@ class FileRunCursor {
     return want;
   }
 
-  /// First index in [0, num_pairs) whose key is >= `key` -- std::lower_bound
-  /// over the sorted on-disk key block, one verified key block read per
-  /// probed block. Used by the driver to slice a spilled run into reduce
-  /// partitions without streaming it. The stored key bounds short-circuit
-  /// the common partition boundaries (entirely before or after this run)
-  /// with zero IO. Repeat callers should hold their own SpillKeyProbe to
-  /// reuse the handle and block cache.
-  static uint64_t LowerBoundIndex(const SpillFileInfo& info, const K& key) {
-    SpillKeyProbe<K> probe(info);
-    return probe.LowerBound(key);
-  }
-
-  /// First index in [0, num_pairs) whose key is > `key` -- std::upper_bound
-  /// over the sorted on-disk key block. For the unsigned integral keys the
-  /// shuffle uses this is LowerBoundIndex of key+1 (the all-ones key maps to
-  /// the end), so it inherits the same zero-IO min/max short-circuits. The
-  /// equi-depth partitioner needs both bounds to size a spilled run's
-  /// key-equal group without streaming it.
-  static uint64_t UpperBoundIndex(const SpillFileInfo& info, const K& key) {
-    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
-                  "rank partitioning is defined over unsigned integral keys");
-    if (key == std::numeric_limits<K>::max()) return info.num_pairs;
-    return LowerBoundIndex(info, static_cast<K>(key + 1));
-  }
-
  private:
   /// One prefetched checksum block in flight: the job fills keys/values and
   /// records its outcome in `result`; the consumer serializes on `ticket`.
@@ -761,9 +730,7 @@ class FileRunCursor {
 /// blocks (log(nblocks) reads).
 ///
 /// One probe is single-threaded; concurrent reduce tasks each build their
-/// own (same ownership rule as FileRunCursor). The index/bounds shortcuts
-/// need unsigned integral keys (the partitioning key contract); LowerBound
-/// itself works for any trivially copyable ordered key.
+/// own (same ownership rule as FileRunCursor).
 template <typename K>
 class SpillKeyProbe {
  public:
@@ -773,10 +740,8 @@ class SpillKeyProbe {
   };
 
   explicit SpillKeyProbe(const SpillFileInfo& info,
-                         const SpillIoPolicy& policy = SpillIoPolicy())
-      : info_(&info), policy_(policy) {
-    static_assert(std::is_trivially_copyable_v<K>);
-  }
+                         const IoRetryPolicy& policy = IoRetryPolicy())
+      : info_(&info), policy_(policy) {}
 
   SpillKeyProbe(SpillKeyProbe&& other) noexcept = default;
   SpillKeyProbe(const SpillKeyProbe&) = delete;
@@ -784,38 +749,26 @@ class SpillKeyProbe {
   SpillKeyProbe& operator=(SpillKeyProbe&&) = delete;
 
   /// Brackets LowerBound(key) using only min/max and the sparse block index
-  /// -- no IO. (Without the unsigned-integral key contract the bracket is
-  /// the whole file.)
+  /// -- no IO.
   IndexBounds LowerBoundBounds(const K& key) const {
     const SpillFileInfo& in = *info_;
-    if constexpr (std::is_integral_v<K> && std::is_unsigned_v<K>) {
-      if (in.num_pairs == 0 || static_cast<uint64_t>(key) <= in.min_key) {
-        return IndexBounds{0, 0};
-      }
-      if (static_cast<uint64_t>(key) > in.max_key) {
-        return IndexBounds{in.num_pairs, in.num_pairs};
-      }
-      if (in.block_keys.empty()) return IndexBounds{0, in.num_pairs};
-      // First block whose leading key is >= key; j >= 1 because block 0
-      // leads with min_key < key. The answer sits after block j-1's leading
-      // key and no later than block j's start.
-      const uint64_t j = static_cast<uint64_t>(
-          std::lower_bound(in.block_keys.begin(), in.block_keys.end(),
-                           static_cast<uint64_t>(key)) -
-          in.block_keys.begin());
-      const uint64_t lo = (j - 1) * kSpillIndexBlockPairs + 1;
-      const uint64_t hi = j < in.block_keys.size() ? j * kSpillIndexBlockPairs
-                                                   : in.num_pairs;
-      return IndexBounds{lo, hi};
-    } else {
-      return IndexBounds{0, in.num_pairs};
-    }
+    if (in.num_pairs == 0 || key <= in.min_key) return IndexBounds{0, 0};
+    if (key > in.max_key) return IndexBounds{in.num_pairs, in.num_pairs};
+    if (in.block_keys.empty()) return IndexBounds{0, in.num_pairs};
+    // First block whose leading key is >= key; j >= 1 because block 0 leads
+    // with min_key < key. The answer sits after block j-1's leading key and
+    // no later than block j's start.
+    const uint64_t j = static_cast<uint64_t>(
+        std::lower_bound(in.block_keys.begin(), in.block_keys.end(), key) -
+        in.block_keys.begin());
+    const uint64_t lo = (j - 1) * kSpillIndexBlockPairs + 1;
+    const uint64_t hi =
+        j < in.block_keys.size() ? j * kSpillIndexBlockPairs : in.num_pairs;
+    return IndexBounds{lo, hi};
   }
 
   /// Brackets UpperBound(key) (first index with key strictly greater).
   IndexBounds UpperBoundBounds(const K& key) const {
-    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
-                  "rank partitioning is defined over unsigned integral keys");
     if (key == std::numeric_limits<K>::max()) {
       return IndexBounds{info_->num_pairs, info_->num_pairs};
     }
@@ -842,8 +795,6 @@ class SpillKeyProbe {
   /// Exact std::upper_bound index; for the unsigned keys this is
   /// LowerBound(key + 1), sharing the cached block when both land together.
   uint64_t UpperBound(const K& key) {
-    static_assert(std::is_integral_v<K> && std::is_unsigned_v<K>,
-                  "rank partitioning is defined over unsigned integral keys");
     if (key == std::numeric_limits<K>::max()) return info_->num_pairs;
     return LowerBound(static_cast<K>(key + 1));
   }
@@ -874,7 +825,7 @@ class SpillKeyProbe {
   }
 
   const SpillFileInfo* info_;
-  SpillIoPolicy policy_;
+  IoRetryPolicy policy_;
   internal::SpillReadHandle handle_;
   uint64_t cached_block_ = std::numeric_limits<uint64_t>::max();
   std::vector<K> cache_;

@@ -50,9 +50,8 @@ struct RoundStats {
   /// (dataset, reduce_tasks) -- planned counts, not scheduling outcomes.
   uint64_t reduce_range_max_pairs = 0;
   uint64_t reduce_range_min_pairs = 0;
-  /// Sub-ranges finished reduce workers stole from stragglers' unclaimed
-  /// tails. Schedule-dependent like reduce_wall_ms -- stealing moves
-  /// wall-clock, never bytes -- so determinism checks must skip it.
+  /// Always 0. Kept only because the benchmark suite reads it; drop it
+  /// with the next benchmark change.
   uint64_t reduce_steals = 0;
   /// External shuffle spill: files written this round, bytes written to them
   /// (framing included), and payload bytes the merge read back from disk.

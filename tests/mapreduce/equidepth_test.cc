@@ -1,18 +1,23 @@
 // Equi-depth reduce partitioning: MergeCut / CutForRank boundary-selection
 // properties, spilled-vs-resident boundary agreement, the all-equal-keys
-// regression, and bit-identity of DeliverSortedMerge under steal-heavy
-// schedules. The load-balance claim under test: boundaries at exact global
-// ranks r*n/R hold every range within one pair of n/R no matter how skewed
-// the key distribution is -- Zipf, constant, or adversarial.
+// regression, bit-identity of DeliverSortedMerge under many-slice
+// schedules, and its two exception exits (a throwing reducer on the driver,
+// a failing spill read on a worker). The load-balance claim under test:
+// boundaries at exact global ranks r*n/R hold every range within one pair
+// of n/R no matter how skewed the key distribution is -- Zipf, constant, or
+// adversarial.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/failpoint.h"
 #include "core/rng.h"
 #include "mapreduce/job.h"
 #include "mapreduce/shuffle.h"
@@ -218,7 +223,7 @@ struct DeliverOutcome {
 
 DeliverOutcome Deliver(const std::vector<std::vector<uint64_t>>& key_sets,
                        int reduce_tasks, int pool_threads,
-                       uint64_t spill_budget, uint64_t steal_slice_pairs) {
+                       uint64_t spill_budget, uint64_t slice_pairs) {
   MrEnv env;
   Plane plane(WirePairs, true, SpillPolicy{spill_budget},
               spill_budget > 0 ? &env.spill_dir : nullptr);
@@ -229,7 +234,7 @@ DeliverOutcome Deliver(const std::vector<std::vector<uint64_t>>& key_sets,
       [&out](const uint64_t& k, const uint64_t& v) {
         out.stream.emplace_back(k, v);
       },
-      steal_slice_pairs);
+      slice_pairs);
   return out;
 }
 
@@ -242,7 +247,7 @@ TEST(EquiDepthTest, AllEqualKeysStillSplitAcrossRanges) {
   for (int threads : {1, 4}) {
     const DeliverOutcome out = Deliver(key_sets, /*reduce_tasks=*/4, threads,
                                        /*spill_budget=*/0,
-                                       /*steal_slice_pairs=*/0);
+                                       /*slice_pairs=*/0);
     EXPECT_EQ(out.result.reduce_tasks_used, 4) << "threads " << threads;
     EXPECT_EQ(out.result.range_max_pairs, 250u) << "threads " << threads;
     EXPECT_EQ(out.result.range_min_pairs, 250u) << "threads " << threads;
@@ -254,9 +259,10 @@ TEST(EquiDepthTest, AllEqualKeysStillSplitAcrossRanges) {
 }
 
 // Bit-identity across every (threads, reduce_tasks, spill, slice size)
-// combination, including slice sizes small enough to force steal-heavy
-// schedules: the delivered stream must equal the single full merge.
-TEST(EquiDepthTest, WorkStealingSchedulesAreBitIdenticalToSingleMerge) {
+// combination, including slice sizes small enough to force hundreds of
+// slices through the staging window: the delivered stream must equal the
+// single full merge.
+TEST(EquiDepthTest, SliceSchedulesAreBitIdenticalToSingleMerge) {
   auto key_sets = ZipfKeySets(31, 5, 300, 1u << 28);
   const DeliverOutcome reference =
       Deliver(key_sets, /*reduce_tasks=*/1, /*pool_threads=*/1, 0, 0);
@@ -286,6 +292,81 @@ TEST(EquiDepthTest, RangeLoadStatsReportExactPlannedCounts) {
   EXPECT_EQ(out.result.range_max_pairs, 3u);  // 7 = 2 + 3 + 2 at ranks 2,4
   EXPECT_EQ(out.result.range_min_pairs, 2u);
   EXPECT_EQ(out.stream.size(), 7u);
+}
+
+// ---------------------------------------------------------------------------
+// DeliverSortedMerge's exception exits: every worker is joined before the
+// error leaves the call, and the plane still removes its spill files.
+// ---------------------------------------------------------------------------
+
+size_t FilesIn(const SpillDir& dir) {
+  if (!dir.created()) return 0;
+  size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// A reducer that throws mid-stream on the driver: DeliverSortedMerge stops
+// the workers, waits them out and rethrows the reducer's own exception.
+TEST(EquiDepthTest, ThrowingReducerStopsParallelDeliveryAndRethrows) {
+  auto key_sets = ZipfKeySets(43, 6, 400, 1u << 20);
+  for (uint64_t budget : {uint64_t{0}, uint64_t{512}}) {
+    for (uint64_t slice : {uint64_t{0}, uint64_t{64}}) {
+      MrEnv env;
+      {
+        Plane plane(WirePairs, true, SpillPolicy{budget},
+                    budget > 0 ? &env.spill_dir : nullptr);
+        FillPlane(&plane, SequencedRuns(key_sets));
+        if (budget > 0) {
+          ASSERT_GT(plane.spill_files(), 0u);
+        }
+        uint64_t absorbed = 0;
+        try {
+          internal::DeliverSortedMerge(
+              plane, &env, /*reduce_tasks=*/4, /*pool_threads=*/4,
+              [&absorbed](const uint64_t&, const uint64_t&) {
+                if (++absorbed == 100) throw std::runtime_error("reducer failed");
+              },
+              slice);
+          ADD_FAILURE() << "budget=" << budget << " slice=" << slice
+                        << ": the reducer's exception was swallowed";
+        } catch (const std::runtime_error& e) {
+          EXPECT_STREQ(e.what(), "reducer failed");
+        }
+        EXPECT_EQ(absorbed, 100u);
+      }
+      EXPECT_EQ(FilesIn(env.spill_dir), 0u)
+          << "budget=" << budget << " slice=" << slice;
+    }
+  }
+}
+
+// A spill read that fails on the workers (every open errors): delivery
+// surfaces the SpillIoError instead of hanging the driver.
+TEST(EquiDepthTest, SpillReadErrorOnWorkersSurfacesAsSpillIoError) {
+  struct DisarmAtExit {
+    ~DisarmAtExit() { Failpoints::DisarmAll(); }
+  } disarm;
+  auto key_sets = ZipfKeySets(47, 6, 400, 1u << 20);
+  for (uint64_t slice : {uint64_t{0}, uint64_t{64}}) {
+    MrEnv env;
+    {
+      Plane plane(WirePairs, true, SpillPolicy{512}, &env.spill_dir);
+      FillPlane(&plane, SequencedRuns(key_sets));
+      ASSERT_GT(plane.spill_files(), 0u);
+      ASSERT_TRUE(Failpoints::ArmFromSpec("spill.read.open=error:EIO").ok());
+      EXPECT_THROW(internal::DeliverSortedMerge(
+                       plane, &env, /*reduce_tasks=*/4, /*pool_threads=*/4,
+                       [](const uint64_t&, const uint64_t&) {}, slice),
+                   SpillIoError)
+          << "slice=" << slice;
+      Failpoints::DisarmAll();
+    }
+    EXPECT_EQ(FilesIn(env.spill_dir), 0u) << "slice=" << slice;
+  }
 }
 
 }  // namespace

@@ -308,26 +308,21 @@ TEST(ShufflePlaneTest, SpilledAndResidentPlanesDeliverIdenticalStreams) {
     resident.Merge([&b](const uint64_t& k, const uint64_t& v) { b.emplace_back(k, v); });
     EXPECT_EQ(a, b) << "seed " << seed;
 
-    // Partitioned delivery: concatenating MergeRange over any key split
-    // reproduces the full merge exactly, resident or spilled.
+    // Partitioned delivery: concatenating MergeCutRange over any rank
+    // split reproduces the full merge exactly, resident or spilled.
+    const uint64_t n = spilled.pairs();
     for (uint64_t R : {2u, 3u, 8u}) {
       std::vector<Pair> parts;
-      uint64_t min_key = 0, max_key = 0;
-      ASSERT_TRUE(spilled.KeyBounds(&min_key, &max_key));
-      const uint64_t span = max_key - min_key + 1;
       for (uint64_t r = 0; r < R; ++r) {
-        const uint64_t lo = min_key + span * r / R;
-        if (r + 1 < R) {
-          spilled.MergeRange(lo, true, min_key + span * (r + 1) / R,
-                             [&parts](const uint64_t& k, const uint64_t& v) {
-                               parts.emplace_back(k, v);
-                             });
-        } else {
-          spilled.MergeRange(lo, false, 0,
-                             [&parts](const uint64_t& k, const uint64_t& v) {
-                               parts.emplace_back(k, v);
-                             });
-        }
+        const uint64_t lo = n * r / R;
+        const uint64_t hi = n * (r + 1) / R;
+        const bool has_hi = hi < n;
+        spilled.MergeCutRange(
+            spilled.CutForRank(lo), has_hi,
+            has_hi ? spilled.CutForRank(hi) : MergeCut<uint64_t>{},
+            [&parts](const uint64_t& k, const uint64_t& v) {
+              parts.emplace_back(k, v);
+            });
       }
       EXPECT_EQ(parts, b) << "seed " << seed << " R " << R;
     }

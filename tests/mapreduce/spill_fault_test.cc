@@ -27,8 +27,8 @@ class SpillFaultTest : public ::testing::Test {
   void TearDown() override { Failpoints::DisarmAll(); }
 
   /// No-backoff policy so retry tests run instantly.
-  static SpillIoPolicy FastPolicy() {
-    SpillIoPolicy p;
+  static IoRetryPolicy FastPolicy() {
+    IoRetryPolicy p;
     p.backoff_initial_us = 0;
     return p;
   }

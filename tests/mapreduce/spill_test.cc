@@ -104,19 +104,18 @@ TEST(SpillFileTest, LowerBoundIndexMatchesInMemorySearch) {
   SpillDir dir;
   TestRun run = RandomSortedRun(11, 777, 50);  // heavy duplication
   SpillFileInfo info = WriteRun(&dir, run);
+  SpillKeyProbe<uint64_t> probe(info);
   for (uint64_t key = 0; key <= 51; ++key) {
     const uint64_t want = static_cast<uint64_t>(
         std::lower_bound(run.keys.begin(), run.keys.end(), key) -
         run.keys.begin());
-    EXPECT_EQ((FileRunCursor<uint64_t, uint64_t>::LowerBoundIndex(info, key)),
-              want)
-        << "key " << key;
+    EXPECT_EQ(probe.LowerBound(key), want) << "key " << key;
   }
 
   TestRun empty;
   empty.SortByKey();
   SpillFileInfo einfo = WriteRun(&dir, empty);
-  EXPECT_EQ((FileRunCursor<uint64_t, uint64_t>::LowerBoundIndex(einfo, 0)), 0u);
+  EXPECT_EQ(SpillKeyProbe<uint64_t>(einfo).LowerBound(0), 0u);
 }
 
 TEST(SpillDirTest, LazyCreationAndRemoval) {

@@ -129,15 +129,12 @@ int BuildMain(int argc, char** argv, int start) {
               static_cast<unsigned long long>(
                   result->stats.TotalSpillRetries()));
   // Worst per-round equi-depth range balance (max/min planned pairs; 0 =
-  // no partitioned sorted round) and total stolen sub-ranges.
+  // no partitioned sorted round).
   double spread = 0.0;
-  uint64_t steals = 0;
   for (const RoundStats& r : result->stats.rounds) {
     spread = std::max(spread, r.ReduceRangeSpread());
-    steals += r.reduce_steals;
   }
-  std::printf("reduce skew : %.3f (max/min pairs per range, %llu steals)\n",
-              spread, static_cast<unsigned long long>(steals));
+  std::printf("reduce skew : %.3f (max/min pairs per range)\n", spread);
 
   if (evaluate || !out_file.empty()) {
     HistogramSnapshot snapshot = result->ToSnapshot();
