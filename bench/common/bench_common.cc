@@ -235,9 +235,7 @@ ExternalMergeKernelResult RunExternalMergeKernel(
     // External path: every run spilled to a temp file (writes untimed --
     // the engine pays them on the map-absorb side), then merged through
     // file-backed cursors. The timed region is the reduce-side work: open,
-    // block-read, k-way merge. Timed twice over the same files: inline
-    // reads (the sync reference) and prefetched reads on an AsyncIoBackend
-    // (the --spill-io=async merge read-ahead).
+    // block-read, k-way merge.
     SpillDir dir;
     std::vector<SpillFileInfo> infos(runs.size());
     for (size_t r = 0; r < runs.size(); ++r) {
@@ -253,39 +251,25 @@ ExternalMergeKernelResult RunExternalMergeKernel(
       WAVEMR_CHECK(w.io.ok()) << w.io.ToString();
       info.file_bytes = w.file_bytes;
     }
-    const auto timed_merge = [&infos, total](IoBackend* io, double* rate,
-                                             uint64_t* out_checksum) {
-      const auto t0 = Clock::now();
-      std::vector<std::unique_ptr<FileRunCursor<uint64_t, uint64_t>>> cursors;
-      std::vector<MergeInput<uint64_t, uint64_t>> inputs;
-      cursors.reserve(infos.size());
-      inputs.reserve(infos.size());
-      for (size_t r = 0; r < infos.size(); ++r) {
-        cursors.push_back(std::make_unique<FileRunCursor<uint64_t, uint64_t>>(
-            infos[r], 0, infos[r].num_pairs,
-            FileRunCursor<uint64_t, uint64_t>::kDefaultBlockPairs,
-            io != nullptr ? io->options().retry : IoRetryPolicy(), io));
-        inputs.push_back(MergeInput<uint64_t, uint64_t>{
-            nullptr, nullptr, 0, cursors.back().get(),
-            static_cast<uint32_t>(r)});
-      }
-      RunMerger<uint64_t, uint64_t> merger(inputs);
-      uint64_t checksum = 0;
-      merger.Drain([&checksum](const uint64_t& k, const uint64_t& v) {
-        checksum = FoldPair(checksum, k, v);
-      });
-      const double s = std::chrono::duration<double>(Clock::now() - t0).count();
-      *rate = static_cast<double>(total) / s;
-      *out_checksum = checksum;
-    };
-    timed_merge(nullptr, &result.external_pairs_per_sec,
-                &result.external_checksum);
-    IoOptions async_options;
-    async_options.backend = IoBackendKind::kAsync;
-    async_options.prefetch_depth = 2;  // double-buffer + one in the arena
-    AsyncIoBackend async_io(async_options);
-    timed_merge(&async_io, &result.prefetch_pairs_per_sec,
-                &result.prefetch_checksum);
+    const auto t0 = Clock::now();
+    std::vector<std::unique_ptr<FileRunCursor<uint64_t, uint64_t>>> cursors;
+    std::vector<MergeInput<uint64_t, uint64_t>> inputs;
+    cursors.reserve(infos.size());
+    inputs.reserve(infos.size());
+    for (size_t r = 0; r < infos.size(); ++r) {
+      cursors.push_back(std::make_unique<FileRunCursor<uint64_t, uint64_t>>(
+          infos[r], 0, infos[r].num_pairs));
+      inputs.push_back(MergeInput<uint64_t, uint64_t>{
+          nullptr, nullptr, 0, cursors.back().get(), static_cast<uint32_t>(r)});
+    }
+    RunMerger<uint64_t, uint64_t> merger(inputs);
+    uint64_t checksum = 0;
+    merger.Drain([&checksum](const uint64_t& k, const uint64_t& v) {
+      checksum = FoldPair(checksum, k, v);
+    });
+    const double s = std::chrono::duration<double>(Clock::now() - t0).count();
+    result.external_pairs_per_sec = static_cast<double>(total) / s;
+    result.external_checksum = checksum;
   }
 
   return result;

@@ -226,21 +226,6 @@ struct ExternalMergeKernelResult {
   double external_pairs_per_sec = 0.0;  // includes spill-file read-back
   uint64_t resident_checksum = 0;
   uint64_t external_checksum = 0;
-  /// Same file-backed merge on an AsyncIoBackend with read-ahead: cursors
-  /// prefetch + CRC-verify upcoming checksum blocks on I/O workers while the
-  /// loser tree drains the current ones. prefetch_checksum must equal
-  /// external_checksum (bit-identity); PrefetchSpeedup() is what the
-  /// overlap buys, gated >= 1.0 in ci_baseline.json on multi-CPU hosts (a
-  /// 1-CPU host has no second core to overlap onto, so CI skips the ratio
-  /// there and gates the checksum only).
-  double prefetch_pairs_per_sec = 0.0;
-  uint64_t prefetch_checksum = 0;
-
-  double PrefetchSpeedup() const {
-    return external_pairs_per_sec > 0.0
-               ? prefetch_pairs_per_sec / external_pairs_per_sec
-               : 0.0;
-  }
 };
 
 ExternalMergeKernelResult RunExternalMergeKernel(

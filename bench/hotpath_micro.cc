@@ -12,9 +12,7 @@
 //               comparison of per-pair replay vs block-wise delivery;
 //   extmerge    the external shuffle: the same k-way merge over resident
 //               runs vs runs spilled to temp files and streamed back
-//               through FileRunCursor (mapreduce/spill.h), with and without
-//               async read-ahead, plus inline vs overlapped (AsyncIoBackend)
-//               spill writes.
+//               through FileRunCursor (mapreduce/spill.h).
 //
 // Each kernel prints rows of (variant, items/sec, speedup vs the first
 // variant). Checksums keep the optimizer honest and double as a cheap
@@ -26,16 +24,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/flat_hash.h"
-#include "core/io.h"
-#include "mapreduce/shuffle.h"
-#include "mapreduce/spill.h"
 #include "data/dataset.h"
 #include "sketch/group_count_sketch.h"
 #include "sketch/wavelet_gcs.h"
@@ -315,63 +309,7 @@ void BenchExternalMerge(uint64_t n) {
   rows.push_back({"resident runs", r.resident_pairs_per_sec, r.resident_checksum});
   rows.push_back({"file-backed runs", r.external_pairs_per_sec,
                   r.external_checksum});
-  rows.push_back({"file-backed + read-ahead", r.prefetch_pairs_per_sec,
-                  r.prefetch_checksum});
   PrintRows("external merge (pairs/s)", rows);
-
-  // Spill-write side of the async plane: serializing R runs inline on the
-  // "driver" (the sync backend) vs submitting the same writes to the async
-  // backend's workers and only waiting at the end -- the overlap the shuffle
-  // plane gets while it keeps absorbing map output. Checksums fold each
-  // run's WriteSpillFile outcome, so both variants prove every write landed.
-  {
-    using Run = ShuffleRun<uint64_t, uint64_t>;
-    const size_t num_runs = 16;
-    const uint64_t per_run = n / num_runs;
-    std::vector<Run> runs(num_runs);
-    uint64_t sequence = 0;
-    for (Run& run : runs) {
-      run.Reserve(per_run);
-      for (uint64_t i = 0; i < per_run; ++i) {
-        run.Append((sequence * 2654435761u) % (1 << 17), sequence), ++sequence;
-      }
-      run.SortByKey();
-    }
-    std::vector<Row> wrows;
-    auto time_writes = [&](const char* name, IoBackend* io) {
-      SpillDir dir;
-      std::vector<SpillWriteResult> results(num_runs);
-      std::vector<std::filesystem::path> paths(num_runs);
-      for (size_t i = 0; i < num_runs; ++i) {
-        paths[i] = dir.NextFilePath("hotpath");
-      }
-      const auto t0 = Clock::now();
-      std::vector<IoTicket> tickets;
-      tickets.reserve(num_runs);
-      for (size_t i = 0; i < num_runs; ++i) {
-        const Run* run = &runs[i];
-        SpillWriteResult* out = &results[i];
-        const std::filesystem::path* path = &paths[i];
-        tickets.push_back(io->Submit([run, out, path] {
-          *out = WriteSpillFile<uint64_t, uint64_t>(
-              *path, run->keys.data(), run->values.data(), run->size());
-        }));
-      }
-      for (IoTicket& t : tickets) t.Wait();
-      const double s = SecondsSince(t0);
-      uint64_t checksum = 0;
-      for (const SpillWriteResult& w : results) {
-        checksum = checksum * 31 + (w.io.ok() ? w.file_bytes : 0);
-      }
-      wrows.push_back({name, static_cast<double>(sequence) / s, checksum});
-    };
-    time_writes("inline writes (sync)", DefaultSyncIoBackend());
-    IoOptions async_opt;
-    async_opt.backend = IoBackendKind::kAsync;
-    AsyncIoBackend async_io(async_opt);
-    time_writes("overlapped writes (async)", &async_io);
-    PrintRows("spill writes (pairs/s)", wrows);
-  }
 }
 
 bool WriteJson(const std::string& path) {

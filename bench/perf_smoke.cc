@@ -271,16 +271,9 @@ int Main(int argc, char** argv) {
     if (r.resident_pairs_per_sec > ext.resident_pairs_per_sec) {
       ext.resident_pairs_per_sec = r.resident_pairs_per_sec;
     }
-    if (r.prefetch_pairs_per_sec > ext.prefetch_pairs_per_sec) {
-      ext.prefetch_pairs_per_sec = r.prefetch_pairs_per_sec;
-    }
     ext.resident_checksum = r.resident_checksum;
     ext.external_checksum = r.external_checksum;
-    ext.prefetch_checksum = r.prefetch_checksum;
-    if (r.external_checksum != r.resident_checksum ||
-        r.prefetch_checksum != r.resident_checksum) {
-      break;
-    }
+    if (r.external_checksum != r.resident_checksum) break;
   }
   std::printf(
       "external-merge kernel: file-backed %.3e pairs/s, resident %.3e pairs/s "
@@ -302,28 +295,6 @@ int Main(int argc, char** argv) {
     kr.algorithm = "external-merge-kernel";
     kr.threads = 1;
     kr.pairs_per_sec = ext.external_pairs_per_sec;
-    reporter.Add(std::move(kr));
-  }
-  // Prefetched external merge: the same files through async read-ahead
-  // cursors. The checksum is a hard bit-identity gate, baseline or not.
-  std::printf(
-      "external-merge-prefetch: read-ahead %.3e pairs/s, inline %.3e pairs/s "
-      "(%.2fx of inline)\n",
-      ext.prefetch_pairs_per_sec, ext.external_pairs_per_sec,
-      ext.PrefetchSpeedup());
-  if (ext.prefetch_checksum != ext.resident_checksum) {
-    std::fprintf(stderr,
-                 "FAIL external-merge-prefetch: read-ahead checksum %llx != "
-                 "resident checksum %llx\n",
-                 static_cast<unsigned long long>(ext.prefetch_checksum),
-                 static_cast<unsigned long long>(ext.resident_checksum));
-    failed = true;
-  }
-  {
-    BenchRecord kr;
-    kr.algorithm = "external-merge-prefetch";
-    kr.threads = 1;
-    kr.pairs_per_sec = ext.prefetch_pairs_per_sec;
     reporter.Add(std::move(kr));
   }
 
@@ -417,7 +388,7 @@ int Main(int argc, char** argv) {
       o.send_v_emit_per_record = true;
       o.send_v_disable_combiner = true;
       // ~1/8 of the per-record pair payload: plenty of real spill files.
-      o.cost_model.shuffle_buffer_bytes = uint64_t{8} << 20;
+      o.io.shuffle_buffer_bytes = uint64_t{8} << 20;
       return Run(skew_ds, AlgorithmKind::kSendV, o, nullptr);
     };
     skew_r1 = run_skew(1);
@@ -496,44 +467,6 @@ int Main(int argc, char** argv) {
             std::printf("ok   blockwise-merge: %.2fx vs per-pair replay "
                         "(need %.2fx)\n",
                         kernel.BlockwiseSpeedup(), b.min_speedup);
-          }
-        }
-        continue;
-      }
-      if (b.algorithm == "external-merge-prefetch") {
-        if (b.min_speedup > 0.0) {
-          // Overlap needs a second core to run the I/O workers on; a 1-CPU
-          // host serializes them with the merge and can only report.
-          if (std::thread::hardware_concurrency() < 2) {
-            std::printf("ok   external-merge-prefetch: %.2fx vs inline reads "
-                        "not gated on a 1-CPU host\n",
-                        ext.PrefetchSpeedup());
-          } else if (ext.PrefetchSpeedup() < b.min_speedup) {
-            std::fprintf(stderr,
-                         "FAIL external-merge-prefetch: %.2fx vs inline reads "
-                         "below required %.2fx\n",
-                         ext.PrefetchSpeedup(), b.min_speedup);
-            failed = true;
-          } else {
-            std::printf("ok   external-merge-prefetch: %.2fx vs inline reads "
-                        "(need %.2fx)\n",
-                        ext.PrefetchSpeedup(), b.min_speedup);
-          }
-        }
-        if (b.pairs_per_sec > 0.0) {
-          double floor = b.pairs_per_sec * (1.0 - opt.rps_tolerance);
-          if (ext.prefetch_pairs_per_sec < floor) {
-            std::fprintf(stderr,
-                         "FAIL external-merge-prefetch: %.3e pairs/s below "
-                         "baseline %.3e pairs/s (-%.0f%% tolerance => %.3e)\n",
-                         ext.prefetch_pairs_per_sec, b.pairs_per_sec,
-                         opt.rps_tolerance * 100.0, floor);
-            failed = true;
-          } else {
-            std::printf("ok   external-merge-prefetch: %.3e pairs/s within "
-                        "baseline %.3e pairs/s (-%.0f%%)\n",
-                        ext.prefetch_pairs_per_sec, b.pairs_per_sec,
-                        opt.rps_tolerance * 100.0);
           }
         }
         continue;

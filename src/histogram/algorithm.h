@@ -56,10 +56,9 @@ struct BuildOptions {
   ClusterSpec cluster = ClusterSpec::PaperCluster();
   CostModel cost_model;
 
-  /// Spill I/O plane: backend selection (--spill-io), queue/prefetch depth,
-  /// retry budget, and the consolidated shuffle-buffer override (0 inherits
-  /// the deprecated CostModel::shuffle_buffer_bytes). Bit-identical results
-  /// for every setting; only wall-clock changes.
+  /// Spill I/O plane: the shuffle buffer (--shuffle-buffer-bytes, > 0) and
+  /// the spill retry budget. Bit-identical results for every setting; only
+  /// wall-clock and spill counters change.
   IoOptions io;
 
   // ---- ablation switches (exercised by bench/ablation_*.cc) ----

@@ -29,10 +29,10 @@ Status BuildOptions::Validate() const {
         "BuildOptions.reduce_tasks must be >= 0 (0 = match the map thread "
         "count); got " + std::to_string(reduce_tasks));
   }
-  if (cost_model.shuffle_buffer_bytes == 0) {
+  if (io.shuffle_buffer_bytes == 0) {
     return Status::InvalidArgument(
-        "BuildOptions.cost_model.shuffle_buffer_bytes must be > 0 (the "
-        "shuffle needs at least one buffered run before spilling)");
+        "BuildOptions.io.shuffle_buffer_bytes must be > 0 (the shuffle needs "
+        "at least one buffered run before spilling)");
   }
   WAVEMR_RETURN_IF_ERROR(io.Validate());
   return Status::OK();

@@ -41,19 +41,6 @@ struct CostModel {
   /// CPU cost for the Reducer to absorb one intermediate pair.
   double reduce_cpu_ns_per_pair = 200.0;
 
-  /// In-memory budget for the map-output runs a sorted shuffle retains on
-  /// the driver before the plane spills to disk (Hadoop's io.sort.mb analog,
-  /// applied to the whole round). Crossing the budget counts a spill event
-  /// and evicts the largest retained runs to temp spill files; the merge
-  /// streams them back, bit-identical to the all-in-memory path. 0 disables
-  /// the check (never spill).
-  ///
-  /// Deprecated spelling: prefer IoOptions::shuffle_buffer_bytes
-  /// (BuildOptions::io / MrEnv::io), which wins whenever it is nonzero --
-  /// this field remains the default the consolidated knob inherits (see
-  /// MrEnv::ResolvedShuffleBufferBytes).
-  uint64_t shuffle_buffer_bytes = uint64_t{256} << 20;
-
   /// Sequential local-disk rate (MB/s) for the external shuffle's spill
   /// writes and merge read-back. Spill time is *measured* from the bytes
   /// actually moved and reported separately (RoundStats::spill_s) -- it is

@@ -63,26 +63,10 @@ struct MrEnv {
   /// so the env-level remove is the crash backstop, not the cleanup path.
   SpillDir spill_dir;
 
-  /// Consolidated spill I/O knobs (backend, queue/prefetch depth, retry,
-  /// buffer override). Every round's ShufflePlane and file cursor runs on
-  /// the backend these options name; any choice is bit-identical, only
-  /// wall-clock changes.
+  /// Spill I/O knobs: every sorted round's retained-run budget and the
+  /// retry policy of its spill writes and file-cursor reads. Any buffer size
+  /// is bit-identical; only wall-clock and spill counters change.
   IoOptions io;
-
-  /// Retained-run budget for sorted shuffles: IoOptions wins when set,
-  /// otherwise the deprecated CostModel::shuffle_buffer_bytes spelling.
-  uint64_t ResolvedShuffleBufferBytes() const {
-    return io.shuffle_buffer_bytes != 0 ? io.shuffle_buffer_bytes
-                                        : cost_model.shuffle_buffer_bytes;
-  }
-
-  /// Lazily created I/O engine named by `io`, shared by all rounds (the
-  /// async backend's workers persist across H-WTopk's three rounds, like
-  /// the map pool).
-  IoBackend* EnsureIoBackend() {
-    if (io_backend_ == nullptr) io_backend_ = MakeIoBackend(io);
-    return io_backend_.get();
-  }
 
   /// Lazily created worker pool, reused across rounds (H-WTopk runs three
   /// rounds on one MrEnv; respawning threads per round would dominate small
@@ -96,7 +80,6 @@ struct MrEnv {
 
  private:
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<IoBackend> io_backend_;
 };
 
 namespace internal {
@@ -496,7 +479,7 @@ struct JobPlan {
 /// every thread count. Sorted rounds additionally plan env->reduce_tasks
 /// equi-depth global-rank ranges (0 = one per map thread), merge the stream
 /// in rank slices on the same pool, and spill retained runs past
-/// CostModel::shuffle_buffer_bytes to env->spill_dir -- neither changes any
+/// env->io.shuffle_buffer_bytes to env->spill_dir -- neither changes any
 /// result bit (see internal::DeliverSortedMerge and ShufflePlane).
 template <typename K2, typename V2>
 RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* env) {
@@ -535,8 +518,8 @@ RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* 
   // largest ones to env->spill_dir when they outgrow the buffer budget --
   // for the loser-tree merge.
   ShufflePlane<K2, V2> plane(wire, plan.sorted_shuffle,
-                             SpillPolicy{env->ResolvedShuffleBufferBytes()},
-                             &env->spill_dir, env->EnsureIoBackend());
+                             SpillPolicy{env->io.shuffle_buffer_bytes},
+                             &env->spill_dir, env->io.retry);
   auto absorb = [&](const K2& k, const V2& v) {
     plan.reducer->Absorb(k, v, reduce_ctx);
   };

@@ -2,12 +2,9 @@
 #define WAVEMR_MAPREDUCE_SHUFFLE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -403,10 +400,10 @@ class RunMerger {
 // ---------------------------------------------------------------------------
 
 /// Byte budget for the runs a sorted shuffle retains in memory before the
-/// plane spills them to disk (Hadoop's io.sort.mb analog, sized from the
-/// CostModel). Crossing the budget both counts a spill event and -- when the
-/// plane has a SpillDir -- serializes the largest retained runs until the
-/// resident footprint fits again.
+/// plane spills them to disk (Hadoop's io.sort.mb analog, sized from
+/// IoOptions::shuffle_buffer_bytes). Crossing the budget both counts a spill
+/// event and -- when the plane has a SpillDir -- serializes the largest
+/// retained runs until the resident footprint fits again.
 struct SpillPolicy {
   /// 0 = unbounded (never spill).
   uint64_t buffer_bytes = 0;
@@ -453,20 +450,11 @@ struct MergeCut {
 /// (sorted planes). The plane deletes its spill files in its destructor, so
 /// a reducer exception unwinding RunRound leaves no files behind.
 ///
-/// On an async IoBackend, spill serialization moves off the driver: victim
-/// selection, SpillFileInfo metadata, and the WVMRPIL2 CRC footer are all
-/// computed at submission time on the driver (so *what* spills and what the
-/// checksums protect is decided identically to the sync plane), then the
-/// retrying file write runs on an I/O worker while the driver keeps
-/// absorbing map output. At most IoOptions::queue_depth writes are in
-/// flight; outcomes are collected in submission order before the first read
-/// -- merge, rank probe, counter, or destruction -- so every observable
-/// (synopses, counters, spill files on disk) is bit-identical to the sync
-/// backend. A write that fails after retries re-pins its run resident at
-/// collection, the same graceful degradation as the sync path. Failpoints:
-/// `spill.write.submit` (submission rejected -> immediate resident
-/// fallback) and `spill.write.complete` (completed write forced to fail,
-/// file removed).
+/// Spill writes run on the driver inside Accept, at the moment the budget
+/// is crossed, so by the time any merge, rank probe or counter reads the
+/// plane every spill decision has landed. A write that fails after its
+/// retries pins the run resident (graceful degradation, bit-identical
+/// output). File cursors read their blocks on whichever thread merges.
 template <typename K, typename V>
 class ShufflePlane {
   static_assert(std::is_same_v<K, uint64_t>, "shuffle keys are uint64_t");
@@ -477,20 +465,14 @@ class ShufflePlane {
 
   /// Without a SpillDir the plane only counts would-spill events (the
   /// pre-external behavior unit tests pin); with one it spills for real.
-  /// `io` = nullptr runs on the process-wide sync backend.
+  /// `retry` governs every spill write and file-cursor read.
   ShufflePlane(WireFn wire, bool sorted, SpillPolicy spill,
-               SpillDir* spill_dir = nullptr, IoBackend* io = nullptr)
+               SpillDir* spill_dir = nullptr,
+               IoRetryPolicy retry = IoRetryPolicy())
       : wire_(std::move(wire)), sorted_(sorted), spill_(spill),
-        spill_dir_(spill_dir),
-        io_(io != nullptr ? io : DefaultSyncIoBackend()) {}
+        spill_dir_(spill_dir), retry_(retry) {}
 
-  ~ShufflePlane() {
-    // In-flight async writes capture pointers into in_flight_; they must
-    // land (and register their files in spilled_) before cleanup, so even a
-    // mid-round unwind leaves zero files behind.
-    EnsureSpillsComplete();
-    DeleteSpillFiles();
-  }
+  ~ShufflePlane() { DeleteSpillFiles(); }
 
   ShufflePlane(const ShufflePlane&) = delete;
   ShufflePlane& operator=(const ShufflePlane&) = delete;
@@ -532,7 +514,6 @@ class ShufflePlane {
   /// binary search per resident run, one on-disk probe sequence per
   /// spilled run.
   uint64_t RankOfKey(const K& key, bool inclusive) const {
-    EnsureSpillsComplete();
     std::vector<SpillKeyProbe<K>> probes = MakeSpillProbes();
     return RankOfKeyWith(probes, key, inclusive);
   }
@@ -544,7 +525,6 @@ class ShufflePlane {
   /// duplicates. The end-of-stream position has no cut; callers express it
   /// as an unbounded upper end (has_hi == false). Sorted planes only.
   MergeCut<K> CutForRank(uint64_t rank) const {
-    EnsureSpillsComplete();
     WAVEMR_CHECK(rank < pairs_) << "cut rank past the merged stream";
     K lo{};
     K hi{};
@@ -601,7 +581,6 @@ class ShufflePlane {
   template <typename Absorb>
   void MergeCutRange(const MergeCut<K>& lo, bool has_hi, const MergeCut<K>& hi,
                      Absorb&& absorb) const {
-    EnsureSpillsComplete();
     std::vector<MergeInput<K, V>> inputs;
     std::vector<std::unique_ptr<FileRunCursor<K, V>>> cursors;
     inputs.reserve(resident_.size() + spilled_.size());
@@ -622,7 +601,7 @@ class ShufflePlane {
           has_hi ? SpilledCutIndex(s, hi, probe) : s.info.num_pairs;
       cursors.push_back(std::make_unique<FileRunCursor<K, V>>(
           s.info, begin, end, FileRunCursor<K, V>::kDefaultBlockPairs,
-          io_->options().retry, io_));
+          retry_));
       inputs.push_back(
           MergeInput<K, V>{nullptr, nullptr, 0, cursors.back().get(), s.ordinal});
     }
@@ -639,7 +618,6 @@ class ShufflePlane {
   /// Smallest and largest key across all retained + spilled pairs; false
   /// when the plane holds no pairs. Sorted planes only.
   bool KeyBounds(K* min_key, K* max_key) const {
-    EnsureSpillsComplete();
     bool any = false;
     for (const Retained& r : resident_) {
       if (r.run.empty()) continue;
@@ -660,41 +638,20 @@ class ShufflePlane {
 
   uint64_t pairs() const { return pairs_; }
   uint64_t wire_bytes() const { return wire_bytes_; }
-  uint64_t resident_bytes() const {
-    EnsureSpillsComplete();
-    return resident_bytes_;
-  }
+  uint64_t resident_bytes() const { return resident_bytes_; }
   uint64_t spill_events() const { return spill_events_; }
-  uint64_t spill_files() const {
-    EnsureSpillsComplete();
-    return spill_files_;
-  }
+  uint64_t spill_files() const { return spill_files_; }
   /// Bytes written to spill files (framing included).
-  uint64_t spill_bytes() const {
-    EnsureSpillsComplete();
-    return spill_bytes_;
-  }
+  uint64_t spill_bytes() const { return spill_bytes_; }
   /// Payload bytes living in spill files -- what every full merge reads
   /// back, independent of reduce partitioning or cursor block size.
-  uint64_t spill_payload_bytes() const {
-    EnsureSpillsComplete();
-    return spill_payload_bytes_;
-  }
+  uint64_t spill_payload_bytes() const { return spill_payload_bytes_; }
   /// Spill attempts that exhausted their IO retries and fell back to
   /// retaining the run resident (results stay bit-identical; see Retained).
-  uint64_t spill_fallbacks() const {
-    EnsureSpillsComplete();
-    return spill_fallbacks_;
-  }
+  uint64_t spill_fallbacks() const { return spill_fallbacks_; }
   /// Transient-errno retries performed by spill writes (successful or not).
-  uint64_t spill_retries() const {
-    EnsureSpillsComplete();
-    return spill_retries_;
-  }
-  size_t num_runs() const {
-    EnsureSpillsComplete();
-    return resident_.size() + spilled_.size();
-  }
+  uint64_t spill_retries() const { return spill_retries_; }
+  size_t num_runs() const { return resident_.size() + spilled_.size(); }
 
  private:
   struct Retained {
@@ -710,19 +667,6 @@ class ShufflePlane {
     uint32_t ordinal;
     SpillFileInfo info;
   };
-  /// One async spill write in flight: the run's columns (moved out of
-  /// resident_ at submission, so victim selection stays deterministic), the
-  /// driver-computed metadata + CRC footer, and the worker-side outcome.
-  /// unique_ptr-held so the job's captured pointer survives deque churn.
-  struct InFlightSpill {
-    uint32_t ordinal = 0;
-    ShuffleRun<K, V> run;
-    SpillFileInfo info;
-    std::vector<uint32_t> footer;
-    SpillWriteResult result;
-    IoTicket ticket;
-  };
-
   /// Spills the largest resident runs (ties to the lower ordinal, so the
   /// choice is deterministic) until the footprint fits the budget again.
   /// Largest-first minimizes file count for a given number of bytes evicted
@@ -747,13 +691,6 @@ class ShufflePlane {
   }
 
   void SpillRun(size_t idx) {
-    if (io_->async()) {
-      // Collecting may re-pin a failed run into resident_ (reallocation), so
-      // make room in the queue before touching resident_[idx].
-      const size_t depth =
-          static_cast<size_t>(std::max(1, io_->options().queue_depth));
-      while (in_flight_.size() >= depth) CollectFront();
-    }
     Retained& r = resident_[idx];
     SpillFileInfo info;
     info.path = spill_dir_->NextFilePath("run-" + std::to_string(r.ordinal));
@@ -766,51 +703,9 @@ class ShufflePlane {
     for (uint64_t b = 0; b * kSpillIndexBlockPairs < info.num_pairs; ++b) {
       info.block_keys.push_back(r.run.keys[b * kSpillIndexBlockPairs]);
     }
-    if (io_->async()) {
-      const int fe = FailpointHit("spill.write.submit");
-      if (fe != 0) {
-        // Submission rejected: same degradation as a failed write, decided
-        // before the run leaves resident_.
-        r.pinned = true;
-        ++spill_fallbacks_;
-        WAVEMR_LOG(Warning)
-            << internal::SpillFail(IoResult::Op::kWrite, fe,
-                                   "spill submission rejected for " +
-                                       info.path.string())
-                   .ToString()
-            << "; retaining run " << r.ordinal << " resident ("
-            << r.run.PayloadBytes() << " bytes pinned)";
-        return;
-      }
-      auto fl = std::make_unique<InFlightSpill>();
-      fl->ordinal = r.ordinal;
-      fl->info = std::move(info);
-      fl->run = std::move(r.run);
-      // The run leaves the resident set *now*: later victim selection (and
-      // the budget check driving it) sees exactly what the sync plane would.
-      resident_bytes_ -= fl->run.PayloadBytes();
-      resident_.erase(resident_.begin() + static_cast<ptrdiff_t>(idx));
-      // CRC before submission: the footer covers the columns as the driver
-      // holds them at the spill decision, so worker-side corruption of any
-      // kind is detectable at read-back.
-      fl->footer = ComputeSpillFooter<K, V>(fl->run.keys.data(),
-                                            fl->run.values.data(),
-                                            fl->run.size());
-      InFlightSpill* raw = fl.get();
-      const IoRetryPolicy policy = io_->options().retry;
-      fl->ticket = io_->Submit([raw, policy] {
-        raw->result = WriteSpillFileWithFooter<K, V>(
-            raw->info.path, raw->run.keys.data(), raw->run.values.data(),
-            raw->run.size(), raw->footer, policy);
-      });
-      in_flight_.push_back(std::move(fl));
-      has_in_flight_.store(true, std::memory_order_release);
-      return;
-    }
     const SpillWriteResult w =
         WriteSpillFile<K, V>(info.path, r.run.keys.data(),
-                             r.run.values.data(), r.run.size(),
-                             io_->options().retry);
+                             r.run.values.data(), r.run.size(), retry_);
     spill_retries_ += w.retries;
     if (!w.io.ok()) {
       // Degrade instead of dying: WriteSpillFile already deleted the partial
@@ -832,54 +727,6 @@ class ShufflePlane {
     resident_bytes_ -= r.run.PayloadBytes();
     spilled_.push_back(Spilled{r.ordinal, std::move(info)});
     resident_.erase(resident_.begin() + static_cast<ptrdiff_t>(idx));
-  }
-
-  /// Lands the oldest in-flight write: waits its ticket, applies the
-  /// counters the sync path would have applied at write time (collection
-  /// order is submission order, so the healthy-path totals match exactly),
-  /// and either registers the spill file or re-pins the run resident.
-  void CollectFront() {
-    std::unique_ptr<InFlightSpill> fl = std::move(in_flight_.front());
-    in_flight_.pop_front();
-    fl->ticket.Wait();
-    const int fe = FailpointHit("spill.write.complete");
-    if (fe != 0) {
-      // Completion rejected: whatever landed on disk is torn as far as the
-      // plane is concerned. Remove it and take the failure path.
-      std::error_code ec;
-      std::filesystem::remove(fl->info.path, ec);
-      fl->result.io = internal::SpillFail(
-          IoResult::Op::kWrite, fe,
-          "spill completion rejected for " + fl->info.path.string());
-    }
-    spill_retries_ += fl->result.retries;
-    if (!fl->result.io.ok()) {
-      WAVEMR_LOG(Warning) << fl->result.io.ToString() << "; retaining run "
-                          << fl->ordinal << " resident ("
-                          << fl->run.PayloadBytes() << " bytes pinned)";
-      ++spill_fallbacks_;
-      resident_bytes_ += fl->run.PayloadBytes();
-      resident_.push_back(Retained{fl->ordinal, std::move(fl->run), true});
-      return;
-    }
-    fl->info.file_bytes = fl->result.file_bytes;
-    ++spill_files_;
-    spill_bytes_ += fl->info.file_bytes;
-    spill_payload_bytes_ += fl->run.PayloadBytes();
-    spilled_.push_back(Spilled{fl->ordinal, std::move(fl->info)});
-  }
-
-  /// Barrier between the write plane and every reader: all in-flight spill
-  /// writes land before merges, rank probes, counters, or destruction look
-  /// at plane state. Cheap atomic fast path; the mutex makes the collection
-  /// safe to reach from concurrent reduce workers (their acquire load
-  /// observes all mutations the collecting thread published).
-  void EnsureSpillsComplete() const {
-    if (!has_in_flight_.load(std::memory_order_acquire)) return;
-    auto* self = const_cast<ShufflePlane*>(this);
-    std::lock_guard<std::mutex> lock(self->collect_mu_);
-    while (!self->in_flight_.empty()) self->CollectFront();
-    self->has_in_flight_.store(false, std::memory_order_release);
   }
 
   /// Index of cut `c` inside resident run `r`: runs with ordinal below the
@@ -976,10 +823,7 @@ class ShufflePlane {
   bool sorted_;
   SpillPolicy spill_;
   SpillDir* spill_dir_;
-  IoBackend* io_;
-  std::deque<std::unique_ptr<InFlightSpill>> in_flight_;
-  std::atomic<bool> has_in_flight_{false};
-  std::mutex collect_mu_;
+  IoRetryPolicy retry_;
   std::vector<Retained> resident_;  // sorted planes only
   std::vector<Spilled> spilled_;
   uint32_t next_ordinal_ = 0;

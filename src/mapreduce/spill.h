@@ -7,18 +7,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <system_error>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -34,7 +31,7 @@ namespace wavemr {
 /// External shuffle spill files.
 ///
 /// When a sorted round's retained map-output runs outgrow
-/// CostModel::shuffle_buffer_bytes, the ShufflePlane serializes whole runs
+/// IoOptions::shuffle_buffer_bytes, the ShufflePlane serializes whole runs
 /// to temp files in the columnar framing below and frees their memory; the
 /// loser-tree merge then streams them back through FileRunCursor, so the
 /// merged output is bit-identical to the all-in-memory path (same keys, same
@@ -54,7 +51,7 @@ namespace wavemr {
 ///
 /// with nblocks = ceil(n / kSpillIndexBlockPairs). The key and value blocks
 /// stay columnar -- a cursor's refill reads a block of keys and a block of
-/// values with two contiguous freads, and the on-disk lower-bound search for
+/// values with two contiguous preads, and the on-disk lower-bound search for
 /// reduce partitioning touches only the key block. Every read path verifies
 /// the block checksums, so a torn or bit-flipped spill file is detected
 /// (SpillIoError) instead of silently corrupting the merge.
@@ -64,12 +61,10 @@ namespace wavemr {
 /// SpillIoError, which the job engine's existing exception path turns into a
 /// clean abort with spill files removed. Transient errno (EINTR/EAGAIN, and
 /// ENOSPC on writes) is retried with exponential backoff per
-/// IoOptions::retry (IoRetryPolicy, core/io.h) before either outcome -- sync
-/// and async paths share that one classification table. Fault injection
-/// hooks: failpoint sites `spill.write.{open,write,close}` and
-/// `spill.read.{open,read}` fire on every backend; the async-only sites
-/// `spill.write.submit`, `spill.write.complete` (shuffle.h) and
-/// `spill.read.prefetch` (FileRunCursor) fire inside the overlapped plane
+/// IoOptions::retry (IoRetryPolicy, core/io.h) before either outcome. Writes
+/// run on the driver thread that decides them; block reads run on the merge
+/// thread that consumes them. Fault injection hooks: failpoint sites
+/// `spill.write.{open,write,close}` and `spill.read.{open,read}`
 /// (core/failpoint.h, catalog in docs/robustness.md).
 
 inline constexpr uint64_t kSpillMagic = 0x57564d5250494c32ull;  // "WVMRPIL2"
@@ -98,7 +93,7 @@ uint64_t SpillFileBytes(uint64_t num_pairs) {
 /// detected corruption. The job engine already unwinds exceptions cleanly
 /// (spill files are deleted by ShufflePlane/SpillDir RAII), so a bad disk
 /// aborts the build with a typed, actionable error instead of wrong results.
-/// Wraps the core IoResult (core/io.h), which both backends share.
+/// Wraps the core IoResult (core/io.h).
 class SpillIoError : public std::runtime_error {
  public:
   explicit SpillIoError(IoResult io)
@@ -143,16 +138,17 @@ inline IoResult SpillFail(IoResult::Op op, int err, std::string detail) {
   return r;
 }
 
+/// Throws the SpillIoError a failed read-side IoResult stands for.
+inline void ThrowIfFailed(IoResult r) {
+  if (!r.ok()) throw SpillIoError(std::move(r));
+}
+
 /// Shared read-side handle: opens a spill file (with retry on transient
 /// errno), validates the header against the caller's SpillFileInfo, loads
-/// and verifies the checksum footer, and serves positioned reads.
-///
-/// Every operation exists in two spellings that share one body: Try*
-/// returns a typed IoResult (the IoBackend seam -- async prefetch jobs must
-/// never throw across threads), and the bare name throws SpillIoError for
-/// the legacy inline paths. Reads go through positional pread on the owned
-/// fd, so once Open succeeds concurrent TryReadAt calls (prefetch slots in
-/// flight) are safe without any cursor-level locking.
+/// and verifies the checksum footer, and serves positioned reads. Every
+/// operation returns a typed IoResult; the cursor and the probe turn
+/// failures into SpillIoError (ThrowIfFailed), while FileRunCursor::Create
+/// reports a failed open as a Status.
 ///
 /// `expect_vsize` = 0 skips the value-size check (SpillKeyProbe does not
 /// know V; it takes the on-disk size as authoritative for computing the
@@ -182,13 +178,10 @@ class SpillReadHandle {
   SpillReadHandle& operator=(const SpillReadHandle&) = delete;
 
   bool open() const { return fd_ >= 0; }
-  uint64_t num_pairs() const { return num_pairs_; }
-  uint32_t ksize() const { return ksize_; }
-  uint32_t vsize() const { return vsize_; }
   const std::vector<uint32_t>& key_crcs() const { return key_crcs_; }
   const std::vector<uint32_t>& value_crcs() const { return value_crcs_; }
 
-  /// Typed open: never throws. On failure the handle stays closed.
+  /// Opens and validates the file. On failure the handle stays closed.
   IoResult TryOpen(const SpillFileInfo& info, uint32_t expect_ksize,
                    uint32_t expect_vsize, const IoRetryPolicy& policy) {
     path_ = info.path.string();
@@ -207,8 +200,8 @@ class SpillReadHandle {
     }
     uint64_t header[2] = {0, 0};
     uint32_t sizes[2] = {0, 0};
-    IoResult r = TryReadAt(0, header, sizeof(header), "spill header");
-    if (r.ok()) r = TryReadAt(sizeof(header), sizes, sizeof(sizes), "spill header");
+    IoResult r = ReadAt(0, header, sizeof(header), "spill header");
+    if (r.ok()) r = ReadAt(sizeof(header), sizes, sizeof(sizes), "spill header");
     if (r.ok() && header[0] != kSpillMagic) {
       r = SpillFail(IoResult::Op::kFormat, 0,
                     "bad spill magic in " + path_ +
@@ -230,7 +223,7 @@ class SpillReadHandle {
       num_pairs_ = header[1];
       ksize_ = sizes[0];
       vsize_ = sizes[1];
-      r = TryLoadFooter();
+      r = LoadFooter();
     }
     if (!r.ok()) {
       ::close(fd_);
@@ -239,17 +232,11 @@ class SpillReadHandle {
     return r;
   }
 
-  void Open(const SpillFileInfo& info, uint32_t expect_ksize,
-            uint32_t expect_vsize, const IoRetryPolicy& policy) {
-    IoResult r = TryOpen(info, expect_ksize, expect_vsize, policy);
-    if (!r.ok()) throw SpillIoError(std::move(r));
-  }
-
-  /// Positioned read of exactly `bytes` via pread (safe from concurrent
-  /// prefetch jobs); retries transient errno per policy. Returns kFormat on
-  /// EOF (truncation) and kRead on hard errors.
-  IoResult TryReadAt(uint64_t offset, void* out, size_t bytes,
-                     const char* what) const {
+  /// Positioned read of exactly `bytes` via pread; retries transient errno
+  /// per policy. Returns kFormat on EOF (truncation) and kRead on hard
+  /// errors.
+  IoResult ReadAt(uint64_t offset, void* out, size_t bytes,
+                  const char* what) const {
     for (int attempt = 0;; ++attempt) {
       const int fe = FailpointHit("spill.read.read");
       int err = 0;
@@ -284,15 +271,10 @@ class SpillReadHandle {
     }
   }
 
-  void ReadAt(uint64_t offset, void* out, size_t bytes, const char* what) const {
-    IoResult r = TryReadAt(offset, out, bytes, what);
-    if (!r.ok()) throw SpillIoError(std::move(r));
-  }
-
   /// Verifies one column block against its stored checksum.
-  IoResult TryVerifyBlock(const std::vector<uint32_t>& crcs, uint64_t block,
-                          const void* data, size_t bytes,
-                          const char* column) const {
+  IoResult VerifyBlock(const std::vector<uint32_t>& crcs, uint64_t block,
+                       const void* data, size_t bytes,
+                       const char* column) const {
     const uint32_t computed = Crc32c(data, bytes);
     if (block < crcs.size() && crcs[block] == computed) return IoResult{};
     char msg[160];
@@ -305,21 +287,15 @@ class SpillReadHandle {
                      std::string(msg) + " in " + path_);
   }
 
-  void VerifyBlock(const std::vector<uint32_t>& crcs, uint64_t block,
-                   const void* data, size_t bytes, const char* column) const {
-    IoResult r = TryVerifyBlock(crcs, block, data, bytes, column);
-    if (!r.ok()) throw SpillIoError(std::move(r));
-  }
-
  private:
-  IoResult TryLoadFooter() {
+  IoResult LoadFooter() {
     const uint64_t nblocks = SpillNumBlocks(num_pairs_);
     const uint64_t footer_off =
         kSpillHeaderBytes + num_pairs_ * (uint64_t{ksize_} + vsize_);
     std::vector<uint32_t> footer(2 * nblocks + 1);
-    IoResult r = TryReadAt(footer_off, footer.data(),
-                           footer.size() * sizeof(uint32_t),
-                           "spill checksum footer");
+    IoResult r = ReadAt(footer_off, footer.data(),
+                        footer.size() * sizeof(uint32_t),
+                        "spill checksum footer");
     if (!r.ok()) return r;
     const uint32_t computed =
         Crc32c(footer.data(), 2 * nblocks * sizeof(uint32_t));
@@ -410,14 +386,25 @@ IoResult WriteSpillFileOnce(const std::filesystem::path& path, const K* keys,
 
 }  // namespace internal
 
-/// The checksum footer for one run's columns: per-block CRC32C of the key
-/// and value columns plus the footer CRC, in on-disk layout. Computed by the
-/// *owner* of the columns -- on the async path the driver runs this before
-/// submission, so what lands on disk provably matches what the plane held
-/// when it decided to spill, not whatever a worker later observed.
+/// Writes one sorted run's columns to `path` in the checksummed WVMRPIL2
+/// framing. Keys and values must be trivially copyable (every shuffle value
+/// in this codebase is a packed POD message).
+///
+/// Never aborts on IO failure: transient errno is retried per `policy`
+/// (each retry rewrites from scratch), any partial file is deleted before
+/// returning, and the typed IoResult lets the caller degrade -- the shuffle
+/// plane's response is to keep the run resident (ShufflePlane fallback)
+/// rather than lose data or kill the job.
 template <typename K, typename V>
-std::vector<uint32_t> ComputeSpillFooter(const K* keys, const V* values,
-                                         uint64_t n) {
+SpillWriteResult WriteSpillFile(const std::filesystem::path& path,
+                                const K* keys, const V* values, uint64_t n,
+                                const IoRetryPolicy& policy = IoRetryPolicy()) {
+  static_assert(std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>,
+                "spill framing memcpys raw columns");
+  // Checksum footer over the in-memory columns, computed once across
+  // retries: what lands on disk must match what the writer held, not what a
+  // previous torn attempt wrote. Per-block CRC32C of the key and value
+  // columns, then the footer CRC, in on-disk layout.
   const uint64_t nblocks = SpillNumBlocks(n);
   std::vector<uint32_t> footer(2 * nblocks + 1);
   for (uint64_t b = 0; b < nblocks; ++b) {
@@ -427,22 +414,7 @@ std::vector<uint32_t> ComputeSpillFooter(const K* keys, const V* values,
     footer[nblocks + b] = Crc32c(values + lo, cnt * sizeof(V));
   }
   footer[2 * nblocks] = Crc32c(footer.data(), 2 * nblocks * sizeof(uint32_t));
-  return footer;
-}
 
-/// Retrying write body shared by the inline and worker-side paths: each
-/// retry rewrites from scratch, any partial file is deleted before
-/// returning, and the outcome is a typed result -- never a throw, so it is
-/// safe as an IoBackend job body. The footer must come from
-/// ComputeSpillFooter over the same columns.
-template <typename K, typename V>
-SpillWriteResult WriteSpillFileWithFooter(const std::filesystem::path& path,
-                                          const K* keys, const V* values,
-                                          uint64_t n,
-                                          const std::vector<uint32_t>& footer,
-                                          const IoRetryPolicy& policy) {
-  static_assert(std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>,
-                "spill framing memcpys raw columns");
   SpillWriteResult result;
   for (int attempt = 0;; ++attempt) {
     result.io = internal::WriteSpillFileOnce<K, V>(path, keys, values, n, footer);
@@ -464,48 +436,20 @@ SpillWriteResult WriteSpillFileWithFooter(const std::filesystem::path& path,
   }
 }
 
-/// Writes one sorted run's columns to `path` in the checksummed WVMRPIL2
-/// framing. Keys and values must be trivially copyable (every shuffle value
-/// in this codebase is a packed POD message).
-///
-/// Never aborts on IO failure: transient errno is retried per `policy`
-/// (each retry rewrites from scratch), any partial file is deleted before
-/// returning, and the typed IoResult lets the caller degrade -- the shuffle
-/// plane's response is to keep the run resident (ShufflePlane fallback)
-/// rather than lose data or kill the job.
-template <typename K, typename V>
-SpillWriteResult WriteSpillFile(const std::filesystem::path& path,
-                                const K* keys, const V* values, uint64_t n,
-                                const IoRetryPolicy& policy = IoRetryPolicy()) {
-  // Checksums are over the in-memory columns, computed once across retries:
-  // what lands on disk must match what the writer held, not what a previous
-  // torn attempt wrote.
-  const std::vector<uint32_t> footer = ComputeSpillFooter<K, V>(keys, values, n);
-  return WriteSpillFileWithFooter<K, V>(path, keys, values, n, footer, policy);
-}
-
 /// Streaming block cursor over an index range [begin, end) of one spill
-/// file's pairs. Each cursor owns its fd, so cursors over the same file
-/// (one per reduce partition) are safe to advance from different threads.
-/// NextBlock loads (keys, values) pairs into owned buffers and hands out raw
-/// column pointers -- the same shape RunMerger's resident cursors have, so
-/// file-backed and in-memory runs merge through one loser tree.
+/// file's pairs. Each cursor owns its fd and its two block buffers, so
+/// cursors over the same file (one per reduce slice) are safe to advance
+/// from different threads. NextBlock loads (keys, values) pairs into those
+/// buffers and hands out raw column pointers -- the same shape RunMerger's
+/// resident cursors have, so file-backed and in-memory runs merge through
+/// one loser tree.
 ///
 /// Reads are always whole checksum blocks (kSpillIndexBlockPairs pairs,
-/// cached), verified against the stored CRC32C before any byte is served; a
-/// refill request is clamped to the current block's end, so callers see at
-/// most block_pairs pairs per call but possibly fewer. IO failures and
-/// corruption throw SpillIoError.
-///
-/// On an async IoBackend the cursor prefetches: up to
-/// IoOptions::prefetch_depth upcoming checksum blocks are read and
-/// CRC-verified by I/O workers (failpoint `spill.read.prefetch`) while the
-/// loser tree drains the current block. Blocks are consumed strictly in
-/// order, so the handoff point is deterministic -- a prefetched block's
-/// failure or corruption is rethrown as SpillIoError exactly when NextBlock
-/// first touches that block, the same observable point as the inline path.
-/// Buffers come from the backend's IoBufferArena and recycle as the cursor
-/// advances.
+/// cached), read on the calling thread and verified against the stored
+/// CRC32C before any byte is served; a refill request is clamped to the
+/// current block's end, so callers see at most block_pairs pairs per call
+/// but possibly fewer. IO failures and corruption throw SpillIoError when
+/// NextBlock first touches the failing block.
 template <typename K, typename V>
 class FileRunCursor {
  public:
@@ -514,38 +458,33 @@ class FileRunCursor {
   /// the read, small enough that R cursors * 2 columns stay cache-friendly.
   static constexpr uint64_t kDefaultBlockPairs = 4096;
 
+  /// Opens the file; a failed open or a bad header/footer throws
+  /// SpillIoError.
   FileRunCursor(const SpillFileInfo& info, uint64_t begin, uint64_t end,
                 uint64_t block_pairs = kDefaultBlockPairs,
-                const IoRetryPolicy& policy = IoRetryPolicy(),
-                IoBackend* io = nullptr)
-      : FileRunCursor(info, begin, end, block_pairs, policy, io, nullptr) {}
+                const IoRetryPolicy& policy = IoRetryPolicy())
+      : FileRunCursor(Unopened{}, info, begin, end, block_pairs) {
+    internal::ThrowIfFailed(handle_.TryOpen(info, sizeof(K), sizeof(V), policy));
+  }
 
-  /// Typed construction through the IoBackend seam: open/header/footer
-  /// failures come back as a Status instead of a SpillIoError throw.
+  /// Typed construction: open/header/footer failures come back as a Status
+  /// instead of a SpillIoError throw.
   static StatusOr<std::unique_ptr<FileRunCursor>> Create(
       const SpillFileInfo& info, uint64_t begin, uint64_t end,
       uint64_t block_pairs = kDefaultBlockPairs,
-      const IoRetryPolicy& policy = IoRetryPolicy(), IoBackend* io = nullptr) {
-    IoResult open_result;
-    auto cursor = std::unique_ptr<FileRunCursor>(new FileRunCursor(
-        info, begin, end, block_pairs, policy, io, &open_result));
-    if (!open_result.ok()) return open_result.ToStatus();
+      const IoRetryPolicy& policy = IoRetryPolicy()) {
+    auto cursor = std::unique_ptr<FileRunCursor>(
+        new FileRunCursor(Unopened{}, info, begin, end, block_pairs));
+    const IoResult r =
+        cursor->handle_.TryOpen(info, sizeof(K), sizeof(V), policy);
+    if (!r.ok()) return r.ToStatus();
     return cursor;
   }
 
   FileRunCursor(const FileRunCursor&) = delete;
   FileRunCursor& operator=(const FileRunCursor&) = delete;
 
-  ~FileRunCursor() {
-    // In-flight prefetch jobs capture slot pointers; they must finish
-    // before the slots (and the handle's fd) die.
-    for (auto& slot : pending_) slot->ticket.Wait();
-  }
-
   uint64_t remaining() const { return end_ - pos_; }
-
-  /// Checksum blocks currently read ahead (telemetry for tests).
-  size_t prefetch_in_flight() const { return pending_.size(); }
 
   /// Loads the next slice of the range. Returns the number of pairs loaded
   /// (0 at end of range); *keys/*values point at the cursor-owned buffers
@@ -558,163 +497,56 @@ class FileRunCursor {
     const uint64_t block_hi =
         std::min(block_lo + kSpillIndexBlockPairs, num_pairs_);
     want = std::min(want, block_hi - pos_);
-    LoadBlock(block, block_lo, block_hi);
-    *keys = reinterpret_cast<const K*>(cur_keys_.data()) + (pos_ - block_lo);
-    *values =
-        reinterpret_cast<const V*>(cur_values_.data()) + (pos_ - block_lo);
+    LoadBlock(block, block_lo, block_hi - block_lo);
+    *keys = keys_.get() + (pos_ - block_lo);
+    *values = values_.get() + (pos_ - block_lo);
     pos_ += want;
     return want;
   }
 
  private:
-  /// One prefetched checksum block in flight: the job fills keys/values and
-  /// records its outcome in `result`; the consumer serializes on `ticket`.
-  struct Slot {
-    uint64_t block = 0;
-    IoBuffer keys;
-    IoBuffer values;
-    IoResult result;
-    IoTicket ticket;
-  };
+  struct Unopened {};
 
-  /// Shared body. With `open_result` != nullptr failures land there (the
-  /// typed Create path); otherwise they throw SpillIoError (legacy ctor).
-  FileRunCursor(const SpillFileInfo& info, uint64_t begin, uint64_t end,
-                uint64_t block_pairs, const IoRetryPolicy& policy,
-                IoBackend* io, IoResult* open_result)
-      : io_(io != nullptr ? io : DefaultSyncIoBackend()),
-        num_pairs_(info.num_pairs),
+  FileRunCursor(Unopened, const SpillFileInfo& info, uint64_t begin,
+                uint64_t end, uint64_t block_pairs)
+      : num_pairs_(info.num_pairs),
         pos_(begin),
         end_(end < info.num_pairs ? end : info.num_pairs),
         block_pairs_(block_pairs == 0 ? 1 : block_pairs) {
     static_assert(std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>);
     WAVEMR_CHECK(begin <= end_) << "inverted spill cursor range";
-    IoResult r = handle_.TryOpen(info, sizeof(K), sizeof(V), policy);
-    if (!r.ok()) {
-      if (open_result != nullptr) {
-        *open_result = std::move(r);
-        return;
-      }
-      throw SpillIoError(std::move(r));
-    }
-    if (open_result != nullptr) *open_result = IoResult{};
-    if (io_->async() && pos_ < end_) {
-      prefetch_depth_ = std::max(0, io_->options().prefetch_depth);
-    }
-    next_prefetch_block_ = pos_ / kSpillIndexBlockPairs;
-    SubmitPrefetch();
   }
 
-  /// Reads + CRC-verifies one whole checksum block into caller storage.
-  /// Never throws (runs on I/O workers as well as inline).
-  IoResult TryLoadBlockInto(uint64_t block, std::byte* kout,
-                            std::byte* vout) const {
-    const uint64_t lo = block * kSpillIndexBlockPairs;
-    const uint64_t count = std::min(kSpillIndexBlockPairs, num_pairs_ - lo);
-    IoResult r =
-        handle_.TryReadAt(internal::SpillKeyOffset() + lo * sizeof(K), kout,
-                          count * sizeof(K), "spill key block");
-    if (!r.ok()) return r;
-    r = handle_.TryVerifyBlock(handle_.key_crcs(), block, kout,
-                               count * sizeof(K), "spill key");
-    if (!r.ok()) return r;
-    r = handle_.TryReadAt(
-        internal::SpillValueOffset<K, V>(num_pairs_) + lo * sizeof(V), vout,
-        count * sizeof(V), "spill value block");
-    if (!r.ok()) return r;
-    return handle_.TryVerifyBlock(handle_.value_crcs(), block, vout,
-                                  count * sizeof(V), "spill value");
-  }
-
-  /// Tops the pipeline back up to prefetch_depth_ slots. At most
-  /// prefetch_depth_ jobs are ever in flight per cursor and all are
-  /// submitted from the consuming thread, so a stalled backend can delay but
-  /// never deadlock the merge.
-  void SubmitPrefetch() {
-    if (prefetch_depth_ == 0) return;
-    const uint64_t last_block = (end_ - 1) / kSpillIndexBlockPairs;
-    while (pending_.size() < static_cast<size_t>(prefetch_depth_) &&
-           next_prefetch_block_ <= last_block) {
-      auto slot = std::make_unique<Slot>();
-      slot->block = next_prefetch_block_++;
-      const uint64_t lo = slot->block * kSpillIndexBlockPairs;
-      const uint64_t count = std::min(kSpillIndexBlockPairs, num_pairs_ - lo);
-      slot->keys = io_->arena().Acquire(count * sizeof(K));
-      slot->values = io_->arena().Acquire(count * sizeof(V));
-      Slot* raw = slot.get();
-      slot->ticket = io_->Submit([this, raw] {
-        const IoRetryPolicy& policy = io_->options().retry;
-        for (int attempt = 0;; ++attempt) {
-          const int fe = FailpointHit("spill.read.prefetch");
-          if (fe == 0) break;
-          if (IoRetryPolicy::IsTransient(fe) &&
-              attempt + 1 < policy.max_attempts) {
-            policy.BackoffSleep(attempt);
-            continue;
-          }
-          raw->result = internal::SpillFail(
-              IoResult::Op::kRead, fe,
-              "prefetch of spill block " + std::to_string(raw->block));
-          return;
-        }
-        raw->result =
-            TryLoadBlockInto(raw->block, raw->keys.data(), raw->values.data());
-      });
-      pending_.push_back(std::move(slot));
-    }
-  }
-
-  void LoadBlock(uint64_t block, uint64_t block_lo, uint64_t block_hi) {
+  /// Reads + CRC-verifies checksum block `block` (pairs [lo, lo + count)).
+  void LoadBlock(uint64_t block, uint64_t lo, uint64_t count) {
     if (block == loaded_block_) return;
-    if (prefetch_depth_ > 0) {
-      // Blocks are consumed in strictly increasing order (refills are
-      // clamped to checksum-block boundaries); skipped slots cannot happen,
-      // but drain defensively rather than desync the pipeline.
-      while (!pending_.empty() && pending_.front()->block < block) {
-        pending_.front()->ticket.Wait();
-        pending_.pop_front();
-      }
-      WAVEMR_CHECK(!pending_.empty() && pending_.front()->block == block)
-          << "spill prefetch pipeline out of sync";
-      std::unique_ptr<Slot> slot = std::move(pending_.front());
-      pending_.pop_front();
-      slot->ticket.Wait();
-      if (!slot->result.ok()) {
-        // Same observable point as the inline path: the error surfaces when
-        // the merge first needs this block, CRC-checked before handoff.
-        throw SpillIoError(std::move(slot->result));
-      }
-      cur_keys_ = std::move(slot->keys);
-      cur_values_ = std::move(slot->values);
-      loaded_block_ = block;
-      SubmitPrefetch();
-      return;
+    if (keys_ == nullptr) {
+      const uint64_t cap = std::min(kSpillIndexBlockPairs, num_pairs_);
+      keys_.reset(new K[cap]);
+      values_.reset(new V[cap]);
     }
-    // Inline path: same bytes, same failpoint sites as the pre-async engine.
-    if (!cur_keys_) {
-      const uint64_t buf = std::min<uint64_t>(kSpillIndexBlockPairs, num_pairs_);
-      cur_keys_ = io_->arena().Acquire(buf * sizeof(K));
-      cur_values_ = io_->arena().Acquire(buf * sizeof(V));
-    }
-    (void)block_lo;
-    (void)block_hi;
-    IoResult r = TryLoadBlockInto(block, cur_keys_.data(), cur_values_.data());
-    if (!r.ok()) throw SpillIoError(std::move(r));
+    internal::ThrowIfFailed(
+        handle_.ReadAt(internal::SpillKeyOffset() + lo * sizeof(K), keys_.get(),
+                       count * sizeof(K), "spill key block"));
+    internal::ThrowIfFailed(handle_.VerifyBlock(
+        handle_.key_crcs(), block, keys_.get(), count * sizeof(K), "spill key"));
+    internal::ThrowIfFailed(handle_.ReadAt(
+        internal::SpillValueOffset<K, V>(num_pairs_) + lo * sizeof(V),
+        values_.get(), count * sizeof(V), "spill value block"));
+    internal::ThrowIfFailed(
+        handle_.VerifyBlock(handle_.value_crcs(), block, values_.get(),
+                            count * sizeof(V), "spill value"));
     loaded_block_ = block;
   }
 
-  IoBackend* io_;
   internal::SpillReadHandle handle_;
   uint64_t num_pairs_;
   uint64_t pos_;
   uint64_t end_;
   uint64_t block_pairs_;
   uint64_t loaded_block_ = std::numeric_limits<uint64_t>::max();
-  int prefetch_depth_ = 0;
-  uint64_t next_prefetch_block_ = 0;
-  IoBuffer cur_keys_;
-  IoBuffer cur_values_;
-  std::deque<std::unique_ptr<Slot>> pending_;
+  std::unique_ptr<K[]> keys_;
+  std::unique_ptr<V[]> values_;
 };
 
 /// Random-access lower/upper-bound probes over one spill file's sorted key
@@ -725,7 +557,7 @@ class FileRunCursor {
 /// are decided by the bracket, and only the final refinements pay a read.
 /// The exact variants read whole checksum-verified key blocks and cache the
 /// last one, so probing the same region repeatedly (rank search convergence,
-/// the lower/upper pair sizing a key group) costs a single fread; without
+/// the lower/upper pair sizing a key group) costs a single pread; without
 /// the sparse index a lower bound degrades to a binary search over verified
 /// blocks (log(nblocks) reads).
 ///
@@ -805,23 +637,23 @@ class SpillKeyProbe {
   K KeyAt(uint64_t i) {
     const uint64_t block = i / kSpillIndexBlockPairs;
     if (block != cached_block_) {
-      EnsureOpen();
+      if (!handle_.open()) {
+        internal::ThrowIfFailed(
+            handle_.TryOpen(*info_, sizeof(K), /*expect_vsize=*/0, policy_));
+      }
       const uint64_t lo = block * kSpillIndexBlockPairs;
       const uint64_t count =
           std::min(kSpillIndexBlockPairs, info_->num_pairs - lo);
       cache_.resize(static_cast<size_t>(count));
-      handle_.ReadAt(internal::SpillKeyOffset() + lo * sizeof(K), cache_.data(),
-                     count * sizeof(K), "spill key block");
-      handle_.VerifyBlock(handle_.key_crcs(), block, cache_.data(),
-                          count * sizeof(K), "spill key");
+      internal::ThrowIfFailed(
+          handle_.ReadAt(internal::SpillKeyOffset() + lo * sizeof(K),
+                         cache_.data(), count * sizeof(K), "spill key block"));
+      internal::ThrowIfFailed(handle_.VerifyBlock(
+          handle_.key_crcs(), block, cache_.data(), count * sizeof(K),
+          "spill key"));
       cached_block_ = block;
     }
     return cache_[static_cast<size_t>(i - cached_block_ * kSpillIndexBlockPairs)];
-  }
-
-  void EnsureOpen() {
-    if (handle_.open()) return;
-    handle_.Open(*info_, sizeof(K), /*expect_vsize=*/0, policy_);
   }
 
   const SpillFileInfo* info_;

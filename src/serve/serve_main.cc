@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/failpoint.h"
-#include "core/io.h"
 #include "data/file_dataset.h"
 #include "serve/registry.h"
 #include "serve/server.h"
@@ -76,20 +75,11 @@ void RegisterBuildFlags(FlagParser* parser, BuildArgs* args) {
               "equi-depth reduce partitions for sorted rounds (0 = match "
               "--threads; identical results)");
   parser->U64("shuffle-buffer-bytes", &args->shuffle_buffer_bytes,
-              "retained-run budget before the shuffle spills to disk (0 = "
-              "CostModel default, 256 MiB; identical results)");
+              "bytes of map output a sorted shuffle keeps in memory before "
+              "spilling runs to disk (> 0; identical results)");
   parser->Bool("force-sorted-shuffle", &args->force_sorted_shuffle,
                "sorted reducer delivery on every round (routes all algorithms "
                "through the retained-run/spill path)");
-  parser->String("spill-io", &args->spill_io,
-                 "spill I/O backend: sync|async|auto (async overlaps spill "
-                 "writes and prefetches merge reads; identical results)");
-  parser->I32("io-queue-depth", &args->io_queue_depth,
-              "async spill writes in flight before the driver blocks on the "
-              "oldest (identical results)");
-  parser->I32("io-prefetch-depth", &args->io_prefetch_depth,
-              "merge-cursor blocks read ahead on the async backend (0 = "
-              "inline reads; identical results)");
   parser->String("failpoints", &args->failpoints,
                  "fault-injection spec, site=action[,site=action...] -- see "
                  "docs/robustness.md (results stay bit-identical; only "
@@ -104,13 +94,7 @@ BuildOptions BuildArgs::ToBuildOptions(uint64_t seed) const {
   options.threads = threads;
   options.reduce_tasks = reduce_tasks;
   options.force_sorted_shuffle = force_sorted_shuffle;
-  // The consolidated spelling: 0 falls through to the deprecated
-  // CostModel::shuffle_buffer_bytes default inside the engine.
   options.io.shuffle_buffer_bytes = shuffle_buffer_bytes;
-  auto backend = ParseIoBackendKind(spill_io);
-  if (backend.ok()) options.io.backend = *backend;  // main validated already
-  options.io.queue_depth = io_queue_depth;
-  options.io.prefetch_depth = io_prefetch_depth;
   return options;
 }
 
@@ -167,9 +151,6 @@ int ServeMain(int argc, char* const* argv, int start) {
   if (!build.failpoints.empty()) {
     st = Failpoints::ArmFromSpec(build.failpoints);
     if (!st.ok()) return FlagError(st, parser);
-  }
-  if (auto backend = ParseIoBackendKind(build.spill_io); !backend.ok()) {
-    return FlagError(backend.status(), parser);
   }
 
   SnapshotRegistry registry;

@@ -39,14 +39,8 @@ struct BuildArgs {
   double eps = 0.01;
   int threads = 0;
   int reduce_tasks = 0;
-  uint64_t shuffle_buffer_bytes = 0;  // 0 = keep the CostModel default
+  uint64_t shuffle_buffer_bytes = IoOptions().shuffle_buffer_bytes;
   bool force_sorted_shuffle = false;
-  /// Spill I/O backend (--spill-io): sync|async|auto. Callers should check
-  /// the spelling with ParseIoBackendKind right after flag parsing (the
-  /// binaries do) -- ToBuildOptions cannot report errors.
-  std::string spill_io = "auto";
-  int io_queue_depth = 4;
-  int io_prefetch_depth = 1;
   /// Fault-injection spec (core/failpoint.h grammar); empty = disarmed.
   /// Recovery paths keep results bit-identical, so this is safe to combine
   /// with determinism checks -- only the recovery counters change.

@@ -1,14 +1,20 @@
 #include "serve/snapshot.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "core/bitops.h"
 #include "core/crc32c.h"
+#include "core/failpoint.h"
 #include "core/logging.h"
 #include "histogram/algorithm.h"
 
@@ -222,12 +228,50 @@ StatusOr<HistogramSnapshot> HistogramSnapshot::Deserialize(
 }
 
 Status HistogramSnapshot::WriteFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
+  // Write-new-then-rename: `path` always holds either the previous snapshot
+  // or the complete new one, never a torn file, whatever step fails.
+  const std::string tmp = path + ".tmp";
+  const auto fail = [&tmp](const char* step, int err) {
+    ::unlink(tmp.c_str());
+    return Status::IOError(std::string("snapshot ") + step + " failed for " +
+                           tmp + ": " + std::strerror(err));
+  };
+  int fe = FailpointHit("snapshot.write.open");
+  const int fd =
+      fe != 0 ? -1 : ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return fail("open", fe != 0 ? fe : errno);
   const std::string bytes = Serialize();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) return Status::IOError("short write: " + path);
+  fe = FailpointHit("snapshot.write.write");
+  for (size_t done = 0; fe == 0 && done < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n > 0) {
+      done += static_cast<size_t>(n);
+    } else if (n == 0 || errno != EINTR) {
+      fe = n == 0 ? EIO : errno;
+    }
+  }
+  if (fe != 0) {
+    ::close(fd);
+    return fail("write", fe);
+  }
+  fe = FailpointHit("snapshot.write.sync");
+  if (fe == 0 && ::fsync(fd) != 0) fe = errno;
+  if (::close(fd) != 0 && fe == 0) fe = errno;
+  if (fe != 0) return fail("sync", fe);
+  fe = FailpointHit("snapshot.write.rename");
+  if (fe == 0 && std::rename(tmp.c_str(), path.c_str()) != 0) fe = errno;
+  if (fe != 0) return fail("rename", fe);
+  // Make the rename itself durable.
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd < 0 || ::fsync(dfd) != 0) {
+    const int err = errno;
+    if (dfd >= 0) ::close(dfd);
+    return Status::IOError("snapshot directory sync failed for " + dir +
+                           ": " + std::strerror(err));
+  }
+  ::close(dfd);
   return Status::OK();
 }
 

@@ -88,6 +88,10 @@ class HistogramSnapshot {
   /// instead of crashing -- snapshot bytes cross process boundaries.
   static StatusOr<HistogramSnapshot> Deserialize(const std::string& bytes);
 
+  /// Crash-safe save: writes `path`.tmp in the same directory, fsyncs it,
+  /// renames it over `path` and fsyncs the directory. Any failure removes
+  /// the temp file, returns IOError and leaves the previous `path` intact.
+  /// Failpoint sites: snapshot.write.{open,write,sync,rename}.
   Status WriteFile(const std::string& path) const;
   static StatusOr<HistogramSnapshot> ReadFile(const std::string& path);
 

@@ -61,7 +61,7 @@ TEST(BuildOptionsTest, RejectsNegativeReduceTasks) {
 
 TEST(BuildOptionsTest, RejectsZeroShuffleBuffer) {
   BuildOptions options;
-  options.cost_model.shuffle_buffer_bytes = 0;
+  options.io.shuffle_buffer_bytes = 0;
   ExpectInvalidMentioning(options.Validate(), "shuffle_buffer_bytes");
 }
 

@@ -377,7 +377,7 @@ TEST(JobEngineTest, SpillStatsFlowIntoRoundAndCounters) {
   }
   InMemoryDataset ds(std::move(splits), 128);
   MrEnv env;
-  env.cost_model.shuffle_buffer_bytes = 512;
+  env.io.shuffle_buffer_bytes = 512;
   CountReducer reducer;
   auto plan = CountPlan(&reducer);
   plan.sorted_shuffle = true;

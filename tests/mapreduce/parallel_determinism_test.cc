@@ -25,15 +25,17 @@ ZipfDataset TestDataset() {
 }
 
 BuildResult BuildWith(const Dataset& ds, AlgorithmKind kind, int threads,
-                      int reduce_tasks = 0, uint64_t shuffle_buffer_bytes = 0) {
+                      int reduce_tasks = 0, uint64_t shuffle_buffer_bytes = 0,
+                      bool force_sorted_shuffle = false) {
   BuildOptions opt;
   opt.k = 20;
   opt.epsilon = 0.05;
   opt.seed = 1234;
   opt.threads = threads;
   opt.reduce_tasks = reduce_tasks;
+  opt.force_sorted_shuffle = force_sorted_shuffle;
   if (shuffle_buffer_bytes > 0) {
-    opt.cost_model.shuffle_buffer_bytes = shuffle_buffer_bytes;
+    opt.io.shuffle_buffer_bytes = shuffle_buffer_bytes;
   }
   auto result = BuildWaveletHistogram(ds, kind, opt);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -44,7 +46,11 @@ struct Case {
   AlgorithmKind kind;
   int threads;
   int reduce_tasks = 0;
-  /// 0 = CostModel default (no spill at this workload size); a tiny value
+  /// Sorted delivery on every round (BuildOptions::force_sorted_shuffle):
+  /// all seven algorithms go through the retained-run/spill plane. Declared
+  /// here it fills the alignment gap, so Case stays 24 bytes.
+  bool force_sorted = false;
+  /// 0 = IoOptions default (no spill at this workload size); a tiny value
   /// forces real spill files on every sorted round.
   uint64_t shuffle_buffer_bytes = 0;
 };
@@ -59,6 +65,7 @@ std::string CaseName(const testing::TestParamInfo<Case>& info) {
     name += "_r" + std::to_string(info.param.reduce_tasks);
   }
   if (info.param.shuffle_buffer_bytes > 0) name += "_spill";
+  if (info.param.force_sorted) name += "_sorted";
   return name;
 }
 
@@ -68,13 +75,16 @@ TEST_P(ParallelDeterminismTest, MatchesSerialExecution) {
   const Case param = GetParam();
   ZipfDataset ds = TestDataset();
 
-  // The fixed reference: serial map, single reduce partition, unbounded
-  // shuffle buffer. Every scheduling/spill knob must reproduce it exactly.
+  // The fixed reference: serial map, single reduce partition, default
+  // shuffle buffer, same delivery mode. Every scheduling/spill knob must
+  // reproduce it exactly.
   BuildResult serial = BuildWith(ds, param.kind, /*threads=*/1,
-                                 /*reduce_tasks=*/1);
+                                 /*reduce_tasks=*/1, /*shuffle_buffer_bytes=*/0,
+                                 param.force_sorted);
   BuildResult threaded = BuildWith(ds, param.kind, param.threads,
                                    param.reduce_tasks,
-                                   param.shuffle_buffer_bytes);
+                                   param.shuffle_buffer_bytes,
+                                   param.force_sorted);
 
   // Identical histograms: same coefficients, bit-for-bit.
   const auto& want = serial.histogram.coefficients();
@@ -170,6 +180,7 @@ std::vector<Case> SpillCases() {
   for (AlgorithmKind kind : AllKinds()) {
     for (int reduce_tasks : {1, 4}) {
       cases.push_back(Case{kind, /*threads=*/4, reduce_tasks,
+                           /*force_sorted=*/false,
                            /*shuffle_buffer_bytes=*/4096});
     }
   }
@@ -178,6 +189,27 @@ std::vector<Case> SpillCases() {
 
 INSTANTIATE_TEST_SUITE_P(ForcedSpill, ParallelDeterminismTest,
                          testing::ValuesIn(SpillCases()), CaseName);
+
+// Forced sorted delivery: the mode the spill workloads and CI spill lanes
+// run in, where the streaming algorithms (Send-V, the samplers,
+// Send-Sketch) also retain, spill, cut and merge their runs. Every
+// algorithm at 4 threads x reduce-tasks {2, 4} x buffer {default, 4 KiB}
+// must equal its forced-sorted serial reference.
+std::vector<Case> ForcedSortedCases() {
+  std::vector<Case> cases;
+  for (AlgorithmKind kind : AllKinds()) {
+    for (int reduce_tasks : {2, 4}) {
+      for (uint64_t budget : {uint64_t{0}, uint64_t{4096}}) {
+        cases.push_back(Case{kind, /*threads=*/4, reduce_tasks,
+                             /*force_sorted=*/true, budget});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(ForcedSorted, ParallelDeterminismTest,
+                         testing::ValuesIn(ForcedSortedCases()), CaseName);
 
 // Sorted-shuffle algorithms under a forced-tiny buffer must actually hit
 // the external path (the determinism suite above would pass vacuously if

@@ -56,7 +56,7 @@ BuildResult BuildUnderTier(const Dataset& ds, const Case& c, SimdTier tier) {
   opt.threads = c.threads;
   opt.reduce_tasks = c.reduce_tasks;
   if (c.shuffle_buffer_bytes > 0) {
-    opt.cost_model.shuffle_buffer_bytes = c.shuffle_buffer_bytes;
+    opt.io.shuffle_buffer_bytes = c.shuffle_buffer_bytes;
   }
   auto result = BuildWaveletHistogram(ds, c.kind, opt);
   OverrideSimdTierForTest(ActiveSimdTier());

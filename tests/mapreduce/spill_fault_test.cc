@@ -158,6 +158,28 @@ TEST_F(SpillFaultTest, BitFlipInKeyColumnIsDetected) {
   }
 }
 
+TEST_F(SpillFaultTest, CorruptBlockFailsOnlyWhenReached) {
+  TestRun run = MakeRun(13, 3 * 4096 + 100);  // four checksum blocks
+  SpillFileInfo info = WriteGood(run);
+  // Corrupt a key byte in the third block: the two healthy blocks before it
+  // are served, and the CRC failure surfaces when NextBlock reaches it.
+  FlipByte(info.path,
+           static_cast<std::streamoff>(kSpillHeaderBytes + 2 * 4096 * 8 + 24),
+           0x01);
+  FileRunCursor<uint64_t, uint64_t> cursor(info, 0, info.num_pairs);
+  const uint64_t* k = nullptr;
+  const uint64_t* v = nullptr;
+  uint64_t consumed = 0;
+  try {
+    for (uint64_t got; (got = cursor.NextBlock(&k, &v)) > 0;) consumed += got;
+    FAIL() << "corrupt block read back without error";
+  } catch (const SpillIoError& e) {
+    EXPECT_EQ(e.io().op, IoResult::Op::kChecksum) << e.what();
+    EXPECT_EQ(consumed, 2 * 4096u)
+        << "both healthy blocks served before the corrupt one failed";
+  }
+}
+
 TEST_F(SpillFaultTest, BitFlipInValueColumnIsDetected) {
   TestRun run = MakeRun(6, 1000);
   SpillFileInfo info = WriteGood(run);
@@ -245,7 +267,7 @@ std::vector<std::pair<uint64_t, uint64_t>> RunSpillingJob(MrEnv* env) {
 
 TEST_F(SpillFaultTest, EnospcEverywhereKeepsResultsBitIdentical) {
   MrEnv clean_env;
-  clean_env.cost_model.shuffle_buffer_bytes = 1024;  // forces real spills
+  clean_env.io.shuffle_buffer_bytes = 1024;  // forces real spills
   const auto clean = RunSpillingJob(&clean_env);
   ASSERT_GT(clean_env.stats.counters.Get("shuffle_spill_files"), 0u);
   EXPECT_EQ(clean_env.stats.counters.Get("shuffle_spill_fallbacks"), 0u);
@@ -254,7 +276,7 @@ TEST_F(SpillFaultTest, EnospcEverywhereKeepsResultsBitIdentical) {
   // resident and deliver the same pairs in the same order.
   ASSERT_TRUE(Failpoints::ArmFromSpec("spill.write.write=error:ENOSPC").ok());
   MrEnv faulty_env;
-  faulty_env.cost_model.shuffle_buffer_bytes = 1024;
+  faulty_env.io.shuffle_buffer_bytes = 1024;
   const auto faulty = RunSpillingJob(&faulty_env);
   Failpoints::DisarmAll();
 
@@ -290,6 +312,32 @@ TEST_F(SpillFaultTest, ShufflePlaneCountsFallbacksAndRetries) {
   EXPECT_GT(plane.spill_fallbacks(), 0u);
   EXPECT_GT(plane.spill_retries(), 0u) << "ENOSPC is transient, so the "
                                           "plane retried before pinning";
+}
+
+TEST_F(SpillFaultTest, ExhaustedRetriesLeaveSpillDirEmpty) {
+  ASSERT_TRUE(Failpoints::ArmFromSpec("spill.write.write=error:ENOSPC").ok());
+  SpillDir dir;
+  {
+    ShufflePlane<uint64_t, uint64_t> plane(
+        [](const uint64_t*, const uint64_t*, size_t n) { return 16 * n; },
+        /*sorted=*/true, SpillPolicy{2000 * 16}, &dir, FastPolicy());
+    for (uint64_t r = 0; r < 8; ++r) {
+      plane.Accept(MakeRun(100 + r, 2000),
+                   [](const uint64_t&, const uint64_t&) {});
+    }
+    EXPECT_EQ(plane.spill_files(), 0u);
+    EXPECT_GT(plane.spill_fallbacks(), 0u);
+    EXPECT_GT(plane.spill_retries(), 0u) << "ENOSPC is transient: retried "
+                                            "before pinning";
+    Failpoints::DisarmAll();
+    // Degraded but correct: the pinned-resident plane still merges fine.
+    uint64_t merged = 0;
+    plane.Merge([&merged](const uint64_t&, const uint64_t&) { ++merged; });
+    EXPECT_EQ(merged, 8u * 2000u);
+  }
+  if (dir.created()) {
+    EXPECT_TRUE(fs::is_empty(dir.path())) << "no torn spill file left behind";
+  }
 }
 
 }  // namespace

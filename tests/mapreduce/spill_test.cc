@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -118,6 +119,18 @@ TEST(SpillFileTest, LowerBoundIndexMatchesInMemorySearch) {
   EXPECT_EQ(SpillKeyProbe<uint64_t>(einfo).LowerBound(0), 0u);
 }
 
+TEST(SpillFileTest, CursorCreateReturnsStatusInsteadOfThrowing) {
+  SpillDir dir;
+  SpillFileInfo info = WriteRun(&dir, RandomSortedRun(12, 100, 1 << 20));
+  auto good = FileRunCursor<uint64_t, uint64_t>::Create(info, 0, info.num_pairs);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  info.path = dir.path() / "does-not-exist.spill";
+  auto bad = FileRunCursor<uint64_t, uint64_t>::Create(info, 0, info.num_pairs);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().ToString().find("open"), std::string::npos)
+      << bad.status().ToString();
+}
+
 TEST(SpillDirTest, LazyCreationAndRemoval) {
   fs::path where;
   {
@@ -191,7 +204,7 @@ InMemoryDataset SpillDataset() {
 TEST(SpillCleanupTest, NormalCompletionLeavesDirEmpty) {
   InMemoryDataset ds = SpillDataset();
   MrEnv env;
-  env.cost_model.shuffle_buffer_bytes = 1024;  // forces real spills
+  env.io.shuffle_buffer_bytes = 1024;  // forces real spills
   NullReducer reducer;
   RunRound(SpillingPlan(&reducer), ds, &env);
   EXPECT_GT(env.stats.counters.Get("shuffle_spill_files"), 0u);
@@ -202,7 +215,7 @@ TEST(SpillCleanupTest, NormalCompletionLeavesDirEmpty) {
 TEST(SpillCleanupTest, ThrowingReducerLeavesDirEmpty) {
   InMemoryDataset ds = SpillDataset();
   MrEnv env;
-  env.cost_model.shuffle_buffer_bytes = 1024;
+  env.io.shuffle_buffer_bytes = 1024;
   ThrowingFinishReducer reducer;
   EXPECT_THROW(RunRound(SpillingPlan(&reducer), ds, &env), std::runtime_error);
   ASSERT_TRUE(env.spill_dir.created());

@@ -4,9 +4,11 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
 #include "core/crc32c.h"
+#include "core/failpoint.h"
 #include "data/dataset.h"
 #include "histogram/builder.h"
 
@@ -190,6 +192,38 @@ TEST(HistogramSnapshotTest, FileRoundTrip) {
   EXPECT_EQ(back->values(), snap.values());
   std::remove(path.c_str());
   EXPECT_FALSE(HistogramSnapshot::ReadFile(path).ok());
+}
+
+TEST(HistogramSnapshotTest, FailedWriteKeepsPreviousVersion) {
+  const std::string path =
+      ::testing::TempDir() + "/wavemr_snapshot_crash_test.snap";
+  HistogramSnapshot old_snap = MakeSample();
+  ASSERT_TRUE(old_snap.WriteFile(path).ok());
+  HistogramSnapshot new_snap = HistogramSnapshot::FromCoefficients(
+      16, {{7, 2.5}, {9, -4.0}}, SnapshotMetadata{});
+  for (const char* site : {"snapshot.write.open", "snapshot.write.write",
+                           "snapshot.write.sync", "snapshot.write.rename"}) {
+    SCOPED_TRACE(site);
+    ASSERT_TRUE(Failpoints::ArmFromSpec(std::string(site) + "=error:ENOSPC").ok());
+    const Status st = new_snap.WriteFile(path);
+    Failpoints::DisarmAll();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
+        << "a failed write must remove its temp file";
+    auto back = HistogramSnapshot::ReadFile(path);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->domain_size(), old_snap.domain_size());
+    EXPECT_EQ(back->indices(), old_snap.indices());
+    EXPECT_EQ(back->values(), old_snap.values());
+  }
+  // With nothing armed the same write replaces the file.
+  ASSERT_TRUE(new_snap.WriteFile(path).ok());
+  auto back = HistogramSnapshot::ReadFile(path);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->indices(), new_snap.indices());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
 }
 
 TEST(HistogramSnapshotTest, ToSnapshotCarriesBuildProvenance) {

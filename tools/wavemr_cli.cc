@@ -9,8 +9,7 @@
 //                              --stats | --rebuild)
 //       query a running server
 //
-// A legacy flat invocation (first argument is a --flag) forwards to `build`
-// with a deprecation warning. Exit code 0 on success; errors go to stderr.
+// Exit code 0 on success; errors go to stderr.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -18,7 +17,6 @@
 
 #include "core/failpoint.h"
 #include "core/flags.h"
-#include "core/io.h"
 #include "core/thread_pool.h"
 #include "data/frequency.h"
 #include "histogram/builder.h"
@@ -77,8 +75,6 @@ int BuildMain(int argc, char** argv, int start) {
     st = Failpoints::ArmFromSpec(build.failpoints);
     if (!st.ok()) return FlagError(st, parser);
   }
-  auto io_backend = ParseIoBackendKind(build.spill_io);
-  if (!io_backend.ok()) return FlagError(io_backend.status(), parser);
 
   auto dataset = MakeDataset(data);
   if (!dataset.ok()) return FlagError(dataset.status(), parser);
@@ -113,14 +109,6 @@ int BuildMain(int argc, char** argv, int start) {
   std::printf("spill bytes : %llu\n",
               static_cast<unsigned long long>(result->stats.TotalSpillBytes()));
   std::printf("spill sim s : %.2f\n", result->stats.TotalSpillSeconds());
-  // Engine line, "spill"-prefixed so bit-identity diffs that compare sync
-  // vs async runs filter it with the other spill/timing lines.
-  std::printf("spill io    : %s (queue %d, prefetch %d)\n",
-              IoBackendKindName(IoOptions{*io_backend, 0,
-                                          build.io_queue_depth,
-                                          build.io_prefetch_depth}
-                                    .ResolvedBackend()),
-              build.io_queue_depth, build.io_prefetch_depth);
   // Recovery telemetry (0/0 on a healthy disk; environment-dependent, so
   // bit-identity diffs must filter this line like the timing lines).
   std::printf("spill rescue: %llu fallbacks, %llu retries\n",
@@ -308,13 +296,6 @@ int Main(int argc, char** argv) {
   if (cmd == "--help" || cmd == "-h") {
     Usage();
     return 0;
-  }
-  if (cmd.rfind("--", 0) == 0) {
-    // Legacy flat invocation (pre-subcommand scripts): forward to build.
-    std::fprintf(stderr,
-                 "wavemr_cli: flat flags are deprecated; use "
-                 "`wavemr_cli build ...`\n");
-    return BuildMain(argc, argv, 1);
   }
   std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
   return Usage();
