@@ -64,7 +64,7 @@ class Deserializer {
   std::vector<T> GetVector() {
     static_assert(std::is_trivially_copyable_v<T>);
     uint64_t n = Get<uint64_t>();
-    WAVEMR_CHECK_LE(pos_ + n * sizeof(T), buf_.size());
+    WAVEMR_CHECK_LE(n, remaining() / sizeof(T));  // n * sizeof(T) could wrap
     std::vector<T> v(n);
     if (n > 0) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
@@ -74,7 +74,7 @@ class Deserializer {
   /// Inverse of Serializer::PutString.
   std::string GetString() {
     uint64_t n = Get<uint64_t>();
-    WAVEMR_CHECK_LE(pos_ + n, buf_.size());
+    WAVEMR_CHECK_LE(n, remaining());
     std::string s(buf_.substr(pos_, n));
     pos_ += n;
     return s;

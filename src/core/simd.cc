@@ -104,23 +104,10 @@ double SumSquaresScalar(const double* v, size_t n) {
   return r;
 }
 
-void SparseLevelScalar(const uint64_t* keys, const double* weights, size_t n,
-                       uint32_t shift, uint64_t block_mask, uint64_t half,
-                       uint64_t base, double sqrt_block, uint64_t* idx_out,
-                       double* val_out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t k = keys[i] >> shift;
-    const uint64_t offset = keys[i] & block_mask;
-    const double mag = weights[i] / sqrt_block;
-    idx_out[i] = base + k;
-    val_out[i] = offset < half ? -mag : mag;
-  }
-}
-
 constexpr SimdKernels kScalarTable = {
     SimdTier::kScalar,    MulMod61X4Scalar,     Hash2X4Scalar,
     Hash4X4Scalar,        GcsSubSignX4Scalar,   GcsSubSignBlockScalar,
-    HaarButterflyScalar,  SumSquaresScalar,     SparseLevelScalar,
+    HaarButterflyScalar,  SumSquaresScalar,
 };
 
 // ===========================================================================
@@ -461,44 +448,10 @@ __attribute__((target("avx2"))) double SumSquaresAvx2(const double* v,
   return r;
 }
 
-__attribute__((target("avx2"))) void SparseLevelAvx2(
-    const uint64_t* keys, const double* weights, size_t n, uint32_t shift,
-    uint64_t block_mask, uint64_t half, uint64_t base, double sqrt_block,
-    uint64_t* idx_out, double* val_out) {
-  const __m128i shiftv = _mm_cvtsi64_si128(static_cast<long long>(shift));
-  const __m256i maskv =
-      _mm256_set1_epi64x(static_cast<long long>(block_mask));
-  const __m256i halfv = _mm256_set1_epi64x(static_cast<long long>(half));
-  const __m256i basev = _mm256_set1_epi64x(static_cast<long long>(base));
-  const __m256d sqrtbv = _mm256_set1_pd(sqrt_block);
-  const __m256d signbit = _mm256_set1_pd(-0.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i key =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    const __m256i idx =
-        _mm256_add_epi64(basev, _mm256_srl_epi64(key, shiftv));
-    const __m256i offset = _mm256_and_si256(key, maskv);
-    // offset, half < 2^61, so the signed compare is safe.
-    const __m256i lt = _mm256_cmpgt_epi64(halfv, offset);
-    const __m256d mag = _mm256_div_pd(_mm256_loadu_pd(weights + i), sqrtbv);
-    const __m256d flip = _mm256_and_pd(_mm256_castsi256_pd(lt), signbit);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(idx_out + i), idx);
-    _mm256_storeu_pd(val_out + i, _mm256_xor_pd(mag, flip));
-  }
-  for (; i < n; ++i) {
-    const uint64_t k = keys[i] >> shift;
-    const uint64_t offset = keys[i] & block_mask;
-    const double mag = weights[i] / sqrt_block;
-    idx_out[i] = base + k;
-    val_out[i] = offset < half ? -mag : mag;
-  }
-}
-
 const SimdKernels kAvx2Table = {
     SimdTier::kAvx2,    MulMod61X4Avx2,     Hash2X4Avx2,
     Hash4X4Avx2,        GcsSubSignX4Avx2,   GcsSubSignBlockAvx2,
-    HaarButterflyAvx2,  SumSquaresAvx2,     SparseLevelAvx2,
+    HaarButterflyAvx2,  SumSquaresAvx2,
 };
 
 #endif  // WAVEMR_SIMD_X86
@@ -676,40 +629,10 @@ double SumSquaresNeon(const double* v, size_t n) {
   return r;
 }
 
-void SparseLevelNeon(const uint64_t* keys, const double* weights, size_t n,
-                     uint32_t shift, uint64_t block_mask, uint64_t half,
-                     uint64_t base, double sqrt_block, uint64_t* idx_out,
-                     double* val_out) {
-  const int64x2_t negshift = vdupq_n_s64(-static_cast<int64_t>(shift));
-  const uint64x2_t maskv = vdupq_n_u64(block_mask);
-  const uint64x2_t halfv = vdupq_n_u64(half);
-  const uint64x2_t basev = vdupq_n_u64(base);
-  const uint64x2_t signbit = vdupq_n_u64(uint64_t{1} << 63);
-  const float64x2_t sqrtbv = vdupq_n_f64(sqrt_block);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t key = vld1q_u64(keys + i);
-    const uint64x2_t idx = vaddq_u64(basev, vshlq_u64(key, negshift));
-    const uint64x2_t lt = vcltq_u64(vandq_u64(key, maskv), halfv);
-    const float64x2_t mag = vdivq_f64(vld1q_f64(weights + i), sqrtbv);
-    const float64x2_t val = vreinterpretq_f64_u64(
-        veorq_u64(vreinterpretq_u64_f64(mag), vandq_u64(lt, signbit)));
-    vst1q_u64(idx_out + i, idx);
-    vst1q_f64(val_out + i, val);
-  }
-  for (; i < n; ++i) {
-    const uint64_t k = keys[i] >> shift;
-    const uint64_t offset = keys[i] & block_mask;
-    const double mag = weights[i] / sqrt_block;
-    idx_out[i] = base + k;
-    val_out[i] = offset < half ? -mag : mag;
-  }
-}
-
 const SimdKernels kNeonTable = {
     SimdTier::kNeon,    MulMod61X4Neon,     Hash2X4Neon,
     Hash4X4Neon,        GcsSubSignX4Neon,   GcsSubSignBlockNeon,
-    HaarButterflyNeon,  SumSquaresNeon,     SparseLevelNeon,
+    HaarButterflyNeon,  SumSquaresNeon,
 };
 
 #endif  // WAVEMR_SIMD_NEON

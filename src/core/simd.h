@@ -86,19 +86,6 @@ struct SimdKernels {
   /// exact association (it is the natural AVX2 horizontal sum), so the
   /// scalar table uses it too.
   double (*sum_squares)(const double* v, size_t n);
-
-  /// One SparseHaar coefficient level: for i in [0, n),
-  ///   k        = keys[i] >> shift;
-  ///   offset   = keys[i] & block_mask;
-  ///   mag      = weights[i] / sqrt_block;
-  ///   idx_out[i] = base + k;
-  ///   val_out[i] = offset < half ? -mag : mag;
-  /// Division and sign flip are IEEE-exact, so tiers agree bit for bit. The
-  /// caller applies idx/val to the coefficient map in input order.
-  void (*sparse_level)(const uint64_t* keys, const double* weights, size_t n,
-                       uint32_t shift, uint64_t block_mask, uint64_t half,
-                       uint64_t base, double sqrt_block, uint64_t* idx_out,
-                       double* val_out);
 };
 
 /// Table for a specific tier. Requesting a tier the binary was not compiled

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "core/flat_hash.h"
 #include "core/serialize.h"
 #include "mapreduce/job.h"
 #include "wavelet/haar.h"
@@ -32,28 +31,20 @@ constexpr char kConfigT1OverM[] = "hwtopk.t1_over_m";
 constexpr char kCacheCandidates[] = "hwtopk.R";
 
 // ---------------------------------------------------------------------------
-// Split state file: the not-yet-sent local coefficients.
+// Split state file: the not-yet-sent local coefficients, in index order,
+// stored as one flat array (a uint64 count, then 16-byte (index, value)
+// records).
 // ---------------------------------------------------------------------------
 
 std::string SerializeCoeffs(const std::vector<WCoeff>& coeffs) {
   Serializer s;
-  s.Put<uint64_t>(coeffs.size());
-  for (const WCoeff& c : coeffs) {
-    s.Put<uint64_t>(c.index);
-    s.Put<double>(c.value);
-  }
+  s.PutVector(coeffs);
   return s.Release();
 }
 
-std::vector<WCoeff> DeserializeCoeffs(const std::string& blob) {
-  Deserializer d(blob);
-  uint64_t n = d.Get<uint64_t>();
-  std::vector<WCoeff> coeffs(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    coeffs[i].index = d.Get<uint64_t>();
-    coeffs[i].value = d.Get<double>();
-  }
-  return coeffs;
+std::vector<WCoeff> LoadCoeffs(const StatusOr<std::string>& blob) {
+  WAVEMR_CHECK(blob.ok()) << "H-WTopk mapper missing split state";
+  return Deserializer(*blob).GetVector<WCoeff>();
 }
 
 // ---------------------------------------------------------------------------
@@ -141,30 +132,21 @@ class Round1Mapper : public MapperBase<Round1Mapper, uint64_t, HwMsg> {
   template <typename Ctx>
   void RunImpl(Ctx& ctx) {
     const uint64_t u = ctx.input().dataset_info().domain_size;
-    FlatHashCounter<uint64_t, uint64_t> freq;
-    freq.reserve(std::min(ctx.input().num_records(), u));
-    ctx.input().ScanBatches([&freq](const uint64_t* keys, uint64_t n) {
-      for (uint64_t i = 0; i < n; ++i) ++freq[keys[i]];
-    });
+    SortedSparseVector v = CountSortedKeys(ctx.input().ReadAllKeys());
 
     std::vector<WCoeff> coeffs;
     if (options_.use_dense_local_transform) {
       std::vector<double> dense(u, 0.0);
-      for (const auto& [key, count] : freq) dense[key] = static_cast<double>(count);
+      for (size_t i = 0; i < v.keys.size(); ++i) dense[v.keys[i]] = v.weights[i];
       ctx.ChargeCpuNs(static_cast<double>(u) * kCoeffOpNs);
       std::vector<double> w = ForwardHaar(dense);
       for (uint64_t i = 0; i < u; ++i) {
         if (w[i] != 0.0) coeffs.push_back({i, w[i]});
       }
     } else {
-      SparseVector v;
-      v.reserve(freq.size());
-      for (const auto& [key, count] : freq) {
-        v.emplace_back(key, static_cast<double>(count));
-      }
-      ctx.ChargeCpuNs(static_cast<double>(v.size()) * PointUpdateFanout(u) *
+      ctx.ChargeCpuNs(static_cast<double>(v.keys.size()) * PointUpdateFanout(u) *
                       kCoeffOpNs);
-      coeffs = SparseHaar(v, u);
+      coeffs = SparseHaarSorted(std::move(v), u);
     }
     ctx.ChargeCpuNs(static_cast<double>(coeffs.size()) * kTopKSelectNs);
 
@@ -172,44 +154,48 @@ class Round1Mapper : public MapperBase<Round1Mapper, uint64_t, HwMsg> {
     // coefficients are exactly zero, so when a split has fewer than k
     // positive (negative) entries the k-th bound is 0 and no mark is sent;
     // the coordinator defaults those bounds to 0.
+    // Selection works on positions into `coeffs`; coeffs is in index order,
+    // so the position breaks value ties exactly as the index would.
     const size_t k = options_.k;
-    std::vector<WCoeff> pos, neg;
-    for (const WCoeff& c : coeffs) {
-      (c.value > 0 ? pos : neg).push_back(c);
+    std::vector<uint32_t> pos, neg;
+    for (uint32_t p = 0; p < coeffs.size(); ++p) {
+      (coeffs[p].value > 0 ? pos : neg).push_back(p);
     }
     size_t tp = std::min(pos.size(), k);
     std::partial_sort(pos.begin(), pos.begin() + tp, pos.end(),
-                      [](const WCoeff& a, const WCoeff& b) {
-                        if (a.value != b.value) return a.value > b.value;
-                        return a.index < b.index;
+                      [&coeffs](uint32_t a, uint32_t b) {
+                        if (coeffs[a].value != coeffs[b].value) {
+                          return coeffs[a].value > coeffs[b].value;
+                        }
+                        return a < b;
                       });
     size_t tn = std::min(neg.size(), k);
     std::partial_sort(neg.begin(), neg.begin() + tn, neg.end(),
-                      [](const WCoeff& a, const WCoeff& b) {
-                        if (a.value != b.value) return a.value < b.value;
-                        return a.index < b.index;
+                      [&coeffs](uint32_t a, uint32_t b) {
+                        if (coeffs[a].value != coeffs[b].value) {
+                          return coeffs[a].value < coeffs[b].value;
+                        }
+                        return a < b;
                       });
 
-    FlatHashCounter<uint64_t, uint8_t> emitted;  // index -> flags
-    emitted.reserve(tp + tn);
+    // send[p]: kSend plus the marks for a coefficient that goes out now.
+    constexpr uint8_t kSend = 4;
+    std::vector<uint8_t> send(coeffs.size(), 0);
     for (size_t t = 0; t < tp; ++t) {
-      uint8_t flags = (t == k - 1 && pos.size() >= k) ? kMarksKthHigh : 0;
-      emitted.FindOrEmplace(pos[t].index, flags);
+      send[pos[t]] = kSend | ((t == k - 1 && pos.size() >= k) ? kMarksKthHigh : 0);
     }
     for (size_t t = 0; t < tn; ++t) {
-      uint8_t flags = (t == k - 1 && neg.size() >= k) ? kMarksKthLow : 0;
-      auto [slot, inserted] = emitted.FindOrEmplace(neg[t].index, flags);
-      if (!inserted) *slot |= flags;  // cannot happen (sign-disjoint)
+      send[neg[t]] = kSend | ((t == k - 1 && neg.size() >= k) ? kMarksKthLow : 0);
     }
 
     std::vector<WCoeff> unsent;
-    unsent.reserve(coeffs.size() - emitted.size());
-    for (const WCoeff& c : coeffs) {
-      const uint8_t* flags = emitted.Find(c.index);
-      if (flags == nullptr) {
-        unsent.push_back(c);
+    unsent.reserve(coeffs.size() - tp - tn);
+    for (size_t p = 0; p < coeffs.size(); ++p) {
+      if (send[p] == 0) {
+        unsent.push_back(coeffs[p]);
       } else {
-        ctx.Emit(c.index, HwMsg{split_, c.value, *flags});
+        const uint8_t flags = send[p] & (kMarksKthHigh | kMarksKthLow);
+        ctx.Emit(coeffs[p].index, HwMsg{split_, coeffs[p].value, flags});
       }
     }
     ctx.SaveState(SerializeCoeffs(unsent));
@@ -285,22 +271,22 @@ class Round2Mapper : public MapperBase<Round2Mapper, uint64_t, HwMsg> {
   template <typename Ctx>
   void RunImpl(Ctx& ctx) {
     // No input-split scan in this round: only the state file is read.
-    auto blob = ctx.LoadState();
-    WAVEMR_CHECK(blob.ok()) << "round-2 mapper missing split state";
-    std::vector<WCoeff> coeffs = DeserializeCoeffs(*blob);
+    std::vector<WCoeff> coeffs = LoadCoeffs(ctx.LoadState());
     double threshold = ctx.config().GetDouble(kConfigT1OverM).value();
     ctx.ChargeCpuNs(static_cast<double>(coeffs.size()) * kStateEntryNs);
 
-    std::vector<WCoeff> unsent;
-    unsent.reserve(coeffs.size());
+    // Emit what clears T1/m and compact the rest in place, keeping index
+    // order for round 3's merge join.
+    size_t kept = 0;
     for (const WCoeff& c : coeffs) {
       if (std::fabs(c.value) > threshold) {
         ctx.Emit(c.index, HwMsg{split_, c.value, 0});
       } else {
-        unsent.push_back(c);
+        coeffs[kept++] = c;
       }
     }
-    ctx.SaveState(SerializeCoeffs(unsent));
+    coeffs.resize(kept);
+    ctx.SaveState(SerializeCoeffs(coeffs));
   }
 
  private:
@@ -384,21 +370,24 @@ class Round3Mapper : public MapperBase<Round3Mapper, uint64_t, HwMsg> {
 
   template <typename Ctx>
   void RunImpl(Ctx& ctx) {
-    auto blob = ctx.LoadState();
-    WAVEMR_CHECK(blob.ok()) << "round-3 mapper missing split state";
-    std::vector<WCoeff> coeffs = DeserializeCoeffs(*blob);
+    const std::vector<WCoeff> coeffs = LoadCoeffs(ctx.LoadState());
 
     auto cache_blob = ctx.cache().Get(kCacheCandidates);
     WAVEMR_CHECK(cache_blob.ok()) << "round-3 mapper missing candidate set";
-    Deserializer d(*cache_blob);
-    FlatHashCounter<uint64_t, uint8_t> in_r;
-    while (!d.Done()) in_r.FindOrEmplace(d.Get<uint32_t>(), 1);
 
     ctx.ChargeCpuNs(static_cast<double>(coeffs.size()) * kStateEntryNs);
     // Everything left in the state file was never sent (|w| <= T1/m); emit
     // the candidates' scores so the coordinator can finalize exact sums.
-    for (const WCoeff& c : coeffs) {
-      if (in_r.Find(c.index) != nullptr) ctx.Emit(c.index, HwMsg{split_, c.value, 0});
+    // Both R and the state are in index order: merge-join them.
+    Deserializer d(*cache_blob);
+    auto it = coeffs.begin();
+    while (!d.Done() && it != coeffs.end()) {
+      const uint64_t candidate = d.Get<uint32_t>();
+      it = std::lower_bound(it, coeffs.end(), candidate,
+                            [](const WCoeff& c, uint64_t index) { return c.index < index; });
+      if (it != coeffs.end() && it->index == candidate) {
+        ctx.Emit(candidate, HwMsg{split_, it->value, 0});
+      }
     }
   }
 

@@ -1,7 +1,5 @@
 #include "exact/send_coef.h"
 
-#include <algorithm>
-
 #include "core/flat_hash.h"
 #include "mapreduce/job.h"
 #include "wavelet/haar.h"
@@ -22,17 +20,13 @@ class SendCoefMapper : public MapperBase<SendCoefMapper, uint64_t, double> {
   template <typename Ctx>
   void RunImpl(Ctx& ctx) {
     const uint64_t u = ctx.input().dataset_info().domain_size;
-    FlatHashCounter<uint64_t, uint64_t> freq;
-    freq.reserve(std::min(ctx.input().num_records(), u));
-    ctx.input().ScanBatches([&freq](const uint64_t* keys, uint64_t n) {
-      for (uint64_t i = 0; i < n; ++i) ++freq[keys[i]];
-    });
+    SortedSparseVector v = CountSortedKeys(ctx.input().ReadAllKeys());
 
     if (options_.use_dense_local_transform) {
       // Ablation: the O(u) centralized transform of [26] instead of the
       // O(|v_j| log u) streaming transform of [20] (Appendix A discussion).
       std::vector<double> dense(u, 0.0);
-      for (const auto& [key, count] : freq) dense[key] = static_cast<double>(count);
+      for (size_t i = 0; i < v.keys.size(); ++i) dense[v.keys[i]] = v.weights[i];
       ctx.ChargeCpuNs(static_cast<double>(u) * kCoeffOpNs);
       std::vector<double> coeffs = ForwardHaar(dense);
       for (uint64_t i = 0; i < u; ++i) {
@@ -41,13 +35,11 @@ class SendCoefMapper : public MapperBase<SendCoefMapper, uint64_t, double> {
       return;
     }
 
-    SparseVector v;
-    v.reserve(freq.size());
-    for (const auto& [key, count] : freq) {
-      v.emplace_back(key, static_cast<double>(count));
+    ctx.ChargeCpuNs(static_cast<double>(v.keys.size()) * PointUpdateFanout(u) *
+                    kCoeffOpNs);
+    for (const WCoeff& c : SparseHaarSorted(std::move(v), u)) {
+      ctx.Emit(c.index, c.value);
     }
-    ctx.ChargeCpuNs(static_cast<double>(v.size()) * PointUpdateFanout(u) * kCoeffOpNs);
-    for (const WCoeff& c : SparseHaar(v, u)) ctx.Emit(c.index, c.value);
   }
 
  private:

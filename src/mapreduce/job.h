@@ -320,9 +320,9 @@ class MapContext {
 
   /// Persistent state for this split across rounds (the paper's per-split
   /// HDFS state file written from Close). Charged as local disk IO.
-  void SaveState(const std::string& blob) {
+  void SaveState(std::string blob) {
     cost_->disk_bytes += blob.size();
-    WAVEMR_CHECK(env_->state.Put(StateKey(), blob).ok());
+    WAVEMR_CHECK(env_->state.Put(StateKey(), std::move(blob)).ok());
   }
   StatusOr<std::string> LoadState() {
     auto blob = env_->state.Get(StateKey());
@@ -405,9 +405,9 @@ class ReduceContext {
   }
 
   /// Coordinator state persisted on the reducer's machine across rounds.
-  void SaveState(const std::string& blob) {
+  void SaveState(std::string blob) {
     cost_->disk_bytes += blob.size();
-    WAVEMR_CHECK(env_->state.Put("coordinator", blob).ok());
+    WAVEMR_CHECK(env_->state.Put("coordinator", std::move(blob)).ok());
   }
   StatusOr<std::string> LoadState() {
     auto blob = env_->state.Get("coordinator");

@@ -11,6 +11,7 @@
 
 #include "core/io.h"
 #include "core/logging.h"
+#include "core/radix_sort.h"
 #include "mapreduce/spill.h"
 
 namespace wavemr {
@@ -68,56 +69,13 @@ struct ShuffleRun {
   /// Stable sort by key: the resulting permutation is exactly what
   /// std::stable_sort over the equivalent pair vector would produce, so a
   /// tie-broken merge of sorted runs reproduces the old engine's global
-  /// stable_sort bit for bit. An LSD radix sort -- O(n) passes over
-  /// contiguous columns instead of a comparison sort over strided pairs.
+  /// stable_sort bit for bit. An LSD radix sort (core/radix_sort.h) -- O(n)
+  /// passes over contiguous columns instead of a comparison sort over
+  /// strided pairs.
   void SortByKey() {
     if (sorted) return;
-    if (keys.size() > 1) RadixSortByKey();
+    RadixSortByKey(keys, &values);
     sorted = true;
-  }
-
- private:
-  /// LSD radix sort, one 8-bit digit per pass, skipping passes above the
-  /// highest set bit of any key (Zipf keys of a 2^17 domain take 3 passes,
-  /// not 8) and passes where every key shares the digit. Counting sort per
-  /// digit is stable, so the composition is a stable sort by the full key.
-  void RadixSortByKey() {
-    const size_t n = keys.size();
-    K seen = 0;
-    for (const K& k : keys) seen |= k;
-    std::vector<K> key_scratch(n);
-    std::vector<V> value_scratch(n);
-    std::vector<K>* src_k = &keys;
-    std::vector<K>* dst_k = &key_scratch;
-    std::vector<V>* src_v = &values;
-    std::vector<V>* dst_v = &value_scratch;
-    for (unsigned shift = 0; shift < 8 * sizeof(K); shift += 8) {
-      if ((seen >> shift) == 0) break;  // no key has bits at or above shift
-      size_t count[256] = {};
-      const K* sk = src_k->data();
-      for (size_t i = 0; i < n; ++i) ++count[(sk[i] >> shift) & 0xFF];
-      if (count[(sk[0] >> shift) & 0xFF] == n) continue;  // single digit
-      size_t offsets[256];
-      size_t total = 0;
-      for (size_t d = 0; d < 256; ++d) {
-        offsets[d] = total;
-        total += count[d];
-      }
-      const V* sv = src_v->data();
-      K* dk = dst_k->data();
-      V* dv = dst_v->data();
-      for (size_t i = 0; i < n; ++i) {
-        const size_t pos = offsets[(sk[i] >> shift) & 0xFF]++;
-        dk[pos] = sk[i];
-        dv[pos] = sv[i];
-      }
-      std::swap(src_k, dst_k);
-      std::swap(src_v, dst_v);
-    }
-    if (src_k != &keys) {
-      keys.swap(key_scratch);
-      values.swap(value_scratch);
-    }
   }
 };
 

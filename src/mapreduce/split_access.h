@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "data/dataset.h"
 #include "mapreduce/cost_model.h"
@@ -39,6 +40,17 @@ class SplitAccess {
   void ScanBatches(BatchFn&& fn) {
     ChargeSequentialScan();
     ForEachKeyBatch(dataset_, split_, std::forward<BatchFn>(fn));
+  }
+
+  /// The whole split's keys in record order: one ScanBatches pass into a
+  /// single array, charged the same.
+  std::vector<uint64_t> ReadAllKeys() {
+    std::vector<uint64_t> keys;
+    keys.reserve(num_records());
+    ScanBatches([&keys](const uint64_t* batch, uint64_t n) {
+      keys.insert(keys.end(), batch, batch + n);
+    });
+    return keys;
   }
 
   /// Per-key sequential scan: thin adapter over ScanBatches for call sites

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <utility>
 
 #include "core/logging.h"
 
@@ -42,13 +43,13 @@ std::string StateStore::FilePath(const std::string& name) const {
   return dir_ + "/" + Sanitize(name);
 }
 
-Status StateStore::Put(const std::string& name, const std::string& blob) {
+Status StateStore::Put(const std::string& name, std::string blob) {
   std::lock_guard<std::mutex> lock(mu_);
   if (dir_.empty()) {
     auto it = blobs_.find(name);
     if (it != blobs_.end()) total_bytes_ -= it->second.size();
     total_bytes_ += blob.size();
-    blobs_[name] = blob;
+    blobs_[name] = std::move(blob);
     return Status::OK();
   }
   std::FILE* f = std::fopen(FilePath(name).c_str(), "wb");

@@ -36,7 +36,8 @@ class StateStore {
   StateStore(const StateStore&) = delete;
   StateStore& operator=(const StateStore&) = delete;
 
-  Status Put(const std::string& name, const std::string& blob);
+  /// Stores `blob` under `name`; the caller moves it in to avoid a copy.
+  Status Put(const std::string& name, std::string blob);
   StatusOr<std::string> Get(const std::string& name) const;
   bool Contains(const std::string& name) const;
   Status Remove(const std::string& name);

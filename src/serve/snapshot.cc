@@ -185,7 +185,7 @@ StatusOr<HistogramSnapshot> HistogramSnapshot::Deserialize(
   auto read_count = [&](uint64_t* n, size_t elem_size) -> bool {
     if (in.remaining() < sizeof(uint64_t)) return false;
     *n = in.Get<uint64_t>();
-    return in.remaining() >= *n * elem_size;
+    return *n <= in.remaining() / elem_size;  // n * elem_size could wrap
   };
   uint64_t n = 0;
   if (!read_count(&n, sizeof(uint64_t))) return truncated();

@@ -4,95 +4,97 @@
 #include <cmath>
 
 #include "core/bitops.h"
-#include "core/flat_hash.h"
 #include "core/logging.h"
-#include "core/simd.h"
+#include "core/radix_sort.h"
 
 namespace wavemr {
 
-void AccumulatePointUpdate(uint64_t x, double weight, uint64_t u,
-                           std::unordered_map<uint64_t, double>* coeffs) {
-  WAVEMR_DCHECK(IsPowerOfTwo(u));
-  WAVEMR_DCHECK(x < u);
-  const uint32_t levels = Log2Floor(u);
-  (*coeffs)[0] += weight / std::sqrt(static_cast<double>(u));
-  for (uint32_t j = 0; j < levels; ++j) {
-    uint64_t block = u >> j;
-    uint64_t k = x / block;
-    uint64_t offset = x - k * block;
-    double mag = weight / std::sqrt(static_cast<double>(block));
-    uint64_t index = (uint64_t{1} << j) + k;
-    (*coeffs)[index] += (offset < block / 2) ? -mag : mag;
+namespace {
+
+// Merges each run of equal keys into its first entry, summing the weights in
+// order. Keys must be sorted.
+void Coalesce(SortedSparseVector* v) {
+  std::vector<uint64_t>& keys = v->keys;
+  std::vector<double>& weights = v->weights;
+  size_t w = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (w > 0 && keys[w - 1] == keys[i]) {
+      weights[w - 1] += weights[i];
+    } else {
+      keys[w] = keys[i];
+      weights[w] = weights[i];
+      ++w;
+    }
   }
+  keys.resize(w);
+  weights.resize(w);
 }
+
+}  // namespace
 
 uint32_t PointUpdateFanout(uint64_t u) { return Log2Floor(u) + 1; }
 
-std::unordered_map<uint64_t, double> SparseHaarMap(const SparseVector& v, uint64_t u) {
-  std::unordered_map<uint64_t, double> coeffs;
-  coeffs.reserve(v.size() * 2);
-  for (const auto& [key, weight] : v) {
-    AccumulatePointUpdate(key, weight, u, &coeffs);
+SortedSparseVector CountSortedKeys(std::vector<uint64_t> keys) {
+  RadixSortByKey(keys);
+  SortedSparseVector v;
+  v.weights.assign(keys.size(), 1.0);
+  v.keys = std::move(keys);
+  Coalesce(&v);
+  return v;
+}
+
+std::vector<WCoeff> SparseHaarSorted(SortedSparseVector v, uint64_t u) {
+  WAVEMR_DCHECK(IsPowerOfTwo(u));
+  WAVEMR_DCHECK(v.keys.size() == v.weights.size());
+  WAVEMR_DCHECK(v.keys.empty() || v.keys.back() < u);
+  // The live nodes of the current tree depth occupy [begin, end) of the two
+  // columns, ascending; each level rewrites them in place as their parents.
+  uint64_t* node = v.keys.data();
+  double* sum = v.weights.data();  // subtree sum of node[i]
+  const size_t end = v.keys.size();
+  size_t begin = 0;
+  std::vector<WCoeff> out;
+  out.reserve(2 * end + 1);
+  // Walking every level from its highest node down, finest level first,
+  // emits the coefficients in descending index order; one reverse at the end
+  // gives index order.
+  for (uint32_t j = Log2Floor(u); j-- > 0;) {
+    const uint64_t base = uint64_t{1} << j;
+    const double sqrt_block = std::sqrt(static_cast<double>(u >> j));
+    size_t w = end;
+    for (size_t i = end; i > begin;) {
+      const uint64_t parent = node[i - 1] >> 1;
+      double left = 0.0;
+      double right = 0.0;
+      if (node[i - 1] & 1) right = sum[--i];
+      if (i > begin && node[i - 1] == parent << 1) left = sum[--i];
+      const double diff = right - left;
+      if (diff != 0.0) out.push_back({base + parent, diff / sqrt_block});
+      --w;
+      node[w] = parent;
+      sum[w] = left + right;
+    }
+    begin = w;
   }
-  return coeffs;
+  if (begin < end && sum[begin] != 0.0) {
+    out.push_back({0, sum[begin] / std::sqrt(static_cast<double>(u))});
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
 }
 
 std::vector<WCoeff> SparseHaar(const SparseVector& v, uint64_t u) {
-  WAVEMR_DCHECK(IsPowerOfTwo(u));
-  const uint32_t levels = Log2Floor(u);
-
-  // Level-major restructuring of the per-key error-tree walk (the transform
-  // is H-WTopk's round-1 bottleneck): one pass over the keys per coefficient
-  // level, with that level's sqrt hoisted out of the loop and the per-key
-  // block arithmetic reduced to shift/mask. The per-key index and signed
-  // magnitude of each level run through the dispatched SIMD kernel
-  // (core/simd.h) into flat scratch arrays -- the divide is the hot op and
-  // vectorizes 4-wide -- and the map accumulation then applies them in v's
-  // order. Per coefficient the contributions still arrive in v's order -- a
-  // level touches disjoint indices, so key-major and level-major accumulate
-  // every coefficient in the same order -- and the kernel's divide/sign-flip
-  // are IEEE-exact, which keeps the result bit-identical to the scalar
-  // AccumulatePointUpdate path in every tier (sparse_test proves it).
-  FlatHashCounter<uint64_t, double> coeffs;
-  coeffs.reserve(v.size() * 2);
-
-  const double sqrt_u = std::sqrt(static_cast<double>(u));
-  std::vector<uint64_t> keys(v.size());
-  std::vector<double> weights(v.size());
-  size_t n = 0;
+  SortedSparseVector sorted;
+  sorted.keys.reserve(v.size());
+  sorted.weights.reserve(v.size());
   for (const auto& [key, weight] : v) {
     WAVEMR_DCHECK(key < u);
-    coeffs[0] += weight / sqrt_u;
-    keys[n] = key;
-    weights[n] = weight;
-    ++n;
+    sorted.keys.push_back(key);
+    sorted.weights.push_back(weight);
   }
-  const SimdKernels& simd = SimdK();
-  std::vector<uint64_t> idx(n);
-  std::vector<double> val(n);
-  for (uint32_t j = 0; j < levels; ++j) {
-    const uint64_t block = u >> j;
-    const uint64_t half = block / 2;
-    const uint64_t base = uint64_t{1} << j;
-    const uint32_t shift = levels - j;  // log2(block)
-    const double sqrt_block = std::sqrt(static_cast<double>(block));
-    simd.sparse_level(keys.data(), weights.data(), n, shift, block - 1, half,
-                      base, sqrt_block, idx.data(), val.data());
-    for (size_t i = 0; i < n; ++i) {
-      coeffs[idx[i]] += val[i];
-    }
-  }
-
-  std::vector<WCoeff> out;
-  out.reserve(coeffs.size());
-  // Contributions can cancel exactly (balanced blocks); drop the zeros so
-  // downstream code really sees only nonzero coefficients.
-  for (const auto& [idx, val] : coeffs) {
-    if (val != 0.0) out.push_back({idx, val});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const WCoeff& a, const WCoeff& b) { return a.index < b.index; });
-  return out;
+  RadixSortByKey(sorted.keys, &sorted.weights);
+  Coalesce(&sorted);
+  return SparseHaarSorted(std::move(sorted), u);
 }
 
 }  // namespace wavemr

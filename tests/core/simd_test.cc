@@ -268,45 +268,5 @@ TEST(SimdKernelTest, SumSquaresIsBitIdenticalAcrossTiers) {
   }
 }
 
-TEST(SimdKernelTest, SparseLevelIsBitIdenticalAcrossTiers) {
-  Rng rng(31337);
-  const uint64_t u = uint64_t{1} << 20;
-  const uint32_t levels = 20;
-  for (uint32_t j : {uint32_t{0}, uint32_t{3}, uint32_t{19}}) {
-    const uint64_t block = u >> j;
-    const uint64_t half = block / 2;
-    const uint64_t base = uint64_t{1} << j;
-    const uint32_t shift = levels - j;
-    const double sqrt_block = std::sqrt(static_cast<double>(block));
-    for (size_t n : {size_t{1}, size_t{2}, size_t{5}, size_t{801}}) {
-      std::vector<uint64_t> keys(n);
-      std::vector<double> weights(n);
-      for (size_t i = 0; i < n; ++i) {
-        keys[i] = rng.NextU64() % u;
-        weights[i] = rng.NextDouble() * 10.0 - 5.0;
-      }
-      std::vector<uint64_t> ref_idx(n), idx(n);
-      std::vector<double> ref_val(n), val(n);
-      SimdKernelsFor(SimdTier::kScalar)
-          .sparse_level(keys.data(), weights.data(), n, shift, block - 1, half,
-                        base, sqrt_block, ref_idx.data(), ref_val.data());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(ref_idx[i], base + keys[i] / block);
-        const double mag = weights[i] / sqrt_block;
-        ASSERT_EQ(ref_val[i], (keys[i] % block) < half ? -mag : mag);
-      }
-      for (SimdTier tier : RunnableTiers()) {
-        SimdKernelsFor(tier).sparse_level(keys.data(), weights.data(), n,
-                                          shift, block - 1, half, base,
-                                          sqrt_block, idx.data(), val.data());
-        for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(idx[i], ref_idx[i]) << SimdTierName(tier) << " j=" << j;
-          ASSERT_EQ(val[i], ref_val[i]) << SimdTierName(tier) << " j=" << j;
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace wavemr

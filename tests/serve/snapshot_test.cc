@@ -147,6 +147,18 @@ TEST(HistogramSnapshotTest, DeserializeRejectsOutOfDomainIndex) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A CRC-valid file whose index count times 8 bytes wraps past 2^64 must be
+// rejected as malformed, not reach a vector allocation of 2^61 elements.
+TEST(HistogramSnapshotTest, DeserializeRejectsWrappingCount) {
+  std::string bytes = MakeSample().Serialize();
+  const uint64_t huge = uint64_t{1} << 61;
+  std::memcpy(bytes.data() + 16, &huge, sizeof(huge));  // after magic and u
+  FixupCrc(&bytes);
+  auto r = HistogramSnapshot::Deserialize(bytes);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
 // The robustness guarantee behind the CRC trailer: no single flipped bit
 // anywhere in the file -- header, payload, metadata, or the trailer itself --
 // deserializes successfully.

@@ -2,14 +2,63 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <unordered_map>
 
 #include "core/rng.h"
-#include "core/simd.h"
 #include "wavelet/haar.h"
 
 namespace wavemr {
 namespace {
+
+// Oracle: the key-major error-tree walk. Adds the contribution of the point
+// update v(x) += weight to every coefficient on x's root-to-leaf path, in
+// the order the updates arrive.
+void AccumulatePointUpdate(uint64_t x, double weight, uint64_t u,
+                           std::unordered_map<uint64_t, double>* coeffs) {
+  const uint32_t levels = Log2Floor(u);
+  (*coeffs)[0] += weight / std::sqrt(static_cast<double>(u));
+  for (uint32_t j = 0; j < levels; ++j) {
+    const uint64_t block = u >> j;
+    const uint64_t k = x / block;
+    const double mag = weight / std::sqrt(static_cast<double>(block));
+    (*coeffs)[(uint64_t{1} << j) + k] += (x - k * block < block / 2) ? -mag : mag;
+  }
+}
+
+// Oracle for integer counts: each coefficient's numerator summed exactly in
+// int64 (right half minus left half of its block), divided once by
+// sqrt(block). Only the nonzero numerators are returned, by index.
+std::map<uint64_t, double> IntegerOracle(const std::vector<std::pair<uint64_t, int64_t>>& v,
+                                         uint64_t u) {
+  const uint32_t levels = Log2Floor(u);
+  std::map<uint64_t, int64_t> numerators;
+  for (const auto& [x, count] : v) {
+    numerators[0] += count;
+    for (uint32_t j = 0; j < levels; ++j) {
+      const uint64_t block = u >> j;
+      const uint64_t k = x / block;
+      numerators[(uint64_t{1} << j) + k] += (x - k * block < block / 2) ? -count : count;
+    }
+  }
+  std::map<uint64_t, double> out;
+  for (const auto& [index, numerator] : numerators) {
+    if (numerator == 0) continue;
+    const uint64_t block = index == 0 ? u : u >> CoefficientLevel(index);
+    out[index] = static_cast<double>(numerator) / std::sqrt(static_cast<double>(block));
+  }
+  return out;
+}
+
+void ExpectBitIdentical(const std::vector<WCoeff>& a, const std::vector<WCoeff>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].index, b[i].index) << "position " << i;
+    ASSERT_EQ(a[i].value, b[i].value) << "index " << a[i].index;  // exact
+  }
+}
 
 struct SparseCase {
   uint64_t u;
@@ -76,61 +125,113 @@ TEST(SparseHaarTest, EmptyInputYieldsNothing) {
   EXPECT_TRUE(SparseHaar({}, 64).empty());
 }
 
-TEST(SparseHaarTest, LevelMajorMatchesScalarPathBitwise) {
-  // SparseHaar's level-major restructuring (hoisted sqrt, shift/mask block
-  // math) must accumulate every coefficient in the same order as the
-  // key-major scalar path, so the two agree exactly -- not just to within a
-  // tolerance. SparseHaarMap/AccumulatePointUpdate is that scalar path.
+TEST(SparseHaarTest, IntegerWeightsMatchInt64OracleBitwise) {
+  // Exact counts: every emitted coefficient is the correctly rounded value
+  // of its exact integer numerator, and exact zeros are never emitted.
   for (uint64_t seed : {11u, 12u, 13u}) {
     Rng rng(seed);
     const uint64_t u = 4096;
+    std::map<uint64_t, int64_t> counts;
+    for (int i = 0; i < 600; ++i) {
+      // Small domain slices and repeated counts make exact cancellations
+      // (equal sibling sums) common.
+      counts[rng.NextBounded(u / (1 + (i % 8)))] += 1 + rng.NextBounded(3);
+    }
+    std::vector<std::pair<uint64_t, int64_t>> ints(counts.begin(), counts.end());
     SparseVector v;
-    for (int i = 0; i < 500; ++i) {
-      v.emplace_back(rng.NextBounded(u), (rng.NextDouble() - 0.5) * 100.0);
+    for (const auto& [key, count] : ints) v.emplace_back(key, static_cast<double>(count));
+    const std::map<uint64_t, double> want = IntegerOracle(ints, u);
+    const std::vector<WCoeff> got = SparseHaar(v, u);
+    ASSERT_EQ(got.size(), want.size());
+    size_t i = 0;
+    for (const auto& [index, value] : want) {
+      ASSERT_EQ(got[i].index, index);
+      ASSERT_EQ(got[i].value, value) << "index " << index;  // exact
+      ++i;
     }
-    std::unordered_map<uint64_t, double> want = SparseHaarMap(v, u);
-    std::vector<WCoeff> got = SparseHaar(v, u);
-    std::unordered_map<uint64_t, double> got_map;
-    for (const WCoeff& w : got) {
-      EXPECT_NE(w.value, 0.0);
-      got_map[w.index] = w.value;
-    }
-    for (const auto& [idx, val] : want) {
-      if (val == 0.0) {
-        EXPECT_EQ(got_map.count(idx), 0u) << "index " << idx;
-      } else {
-        ASSERT_EQ(got_map.count(idx), 1u) << "index " << idx;
-        EXPECT_EQ(got_map[idx], val) << "index " << idx;  // exact
-      }
-    }
-    EXPECT_LE(got_map.size(), want.size());
   }
 }
 
-TEST(SparseHaarTest, SimdTiersMatchScalarPathBitwise) {
-  // The level pass runs through the dispatched SIMD kernel; forced-scalar
-  // and best-tier transforms must agree bit for bit with each other and
-  // with the key-major AccumulatePointUpdate path.
-  Rng rng(77);
+TEST(SparseHaarTest, InputOrderDoesNotChangeABit) {
+  Rng rng(21);
   const uint64_t u = 8192;
-  SparseVector v;
+  std::unordered_map<uint64_t, double> entries;
   for (int i = 0; i < 700; ++i) {
-    v.emplace_back(rng.NextBounded(u), (rng.NextDouble() - 0.5) * 50.0);
+    entries[rng.NextBounded(u)] = (rng.NextDouble() - 0.5) * 50.0;
   }
-  std::unordered_map<uint64_t, double> want = SparseHaarMap(v, u);
-  OverrideSimdTierForTest(SimdTier::kScalar);
-  std::vector<WCoeff> scalar = SparseHaar(v, u);
-  OverrideSimdTierForTest(BestSimdTier());
-  std::vector<WCoeff> best = SparseHaar(v, u);
-  OverrideSimdTierForTest(ActiveSimdTier());
-  ASSERT_EQ(scalar.size(), best.size());
-  for (size_t i = 0; i < scalar.size(); ++i) {
-    ASSERT_EQ(scalar[i].index, best[i].index);
-    ASSERT_EQ(scalar[i].value, best[i].value)
-        << "index " << scalar[i].index
-        << " tier=" << SimdTierName(BestSimdTier());
-    ASSERT_EQ(want.at(scalar[i].index), scalar[i].value);
+  SparseVector v(entries.begin(), entries.end());
+  std::sort(v.begin(), v.end());
+  const std::vector<WCoeff> want = SparseHaar(v, u);
+  for (int trial = 0; trial < 5; ++trial) {
+    for (size_t i = v.size(); i > 1; --i) std::swap(v[i - 1], v[rng.NextBounded(i)]);
+    ExpectBitIdentical(SparseHaar(v, u), want);
   }
+}
+
+TEST(SparseHaarTest, DuplicateKeysEqualPresummedKeys) {
+  Rng rng(31);
+  const uint64_t u = 1024;
+  SparseVector split;
+  std::map<uint64_t, double> summed;
+  for (int i = 0; i < 400; ++i) {
+    const uint64_t key = rng.NextBounded(u / 4);
+    const double weight = static_cast<double>(1 + rng.NextBounded(9));
+    split.emplace_back(key, weight);
+    summed[key] += weight;
+  }
+  ExpectBitIdentical(SparseHaar(split, u),
+                     SparseHaar(SparseVector(summed.begin(), summed.end()), u));
+}
+
+TEST(SparseHaarTest, DoubleWeightsMatchPointUpdateOracle) {
+  // Non-integer weights round differently from the key-major walk (one
+  // division per coefficient instead of one per contribution); the two
+  // agree to within 1e-12 of the coefficient's absolute mass.
+  for (uint64_t seed : {41u, 42u, 43u}) {
+    Rng rng(seed);
+    const uint64_t u = 4096;
+    SparseVector v;
+    std::unordered_map<uint64_t, double> want, mass;
+    for (int i = 0; i < 500; ++i) {
+      const uint64_t key = rng.NextBounded(u);
+      const double weight = (rng.NextDouble() - 0.5) * 100.0;
+      v.emplace_back(key, weight);
+      AccumulatePointUpdate(key, weight, u, &want);
+      AccumulatePointUpdate(key, std::fabs(weight), u, &mass);
+    }
+    std::unordered_map<uint64_t, double> got;
+    for (const WCoeff& w : SparseHaar(v, u)) {
+      EXPECT_NE(w.value, 0.0);
+      got[w.index] = w.value;
+    }
+    for (const auto& [index, value] : want) {
+      const double g = got.count(index) ? got[index] : 0.0;
+      EXPECT_LE(std::fabs(g - value), 1e-12 * std::fabs(mass[index])) << "index " << index;
+    }
+    for (const auto& [index, value] : got) EXPECT_EQ(want.count(index), 1u) << index;
+  }
+}
+
+TEST(SparseHaarTest, CountSortedKeysCountsEachKeyInOrder) {
+  Rng rng(51);
+  std::vector<uint64_t> keys;
+  std::map<uint64_t, double> want;
+  for (int i = 0; i < 5000; ++i) {
+    // Keys straddle several radix digits, including the top one.
+    const uint64_t key = rng.NextBounded(256) << (8 * (i % 8));
+    keys.push_back(key);
+    want[key] += 1.0;
+  }
+  const SortedSparseVector v = CountSortedKeys(keys);
+  ASSERT_EQ(v.keys.size(), want.size());
+  ASSERT_EQ(v.weights.size(), want.size());
+  size_t i = 0;
+  for (const auto& [key, count] : want) {
+    EXPECT_EQ(v.keys[i], key);
+    EXPECT_EQ(v.weights[i], count);
+    ++i;
+  }
+  EXPECT_TRUE(CountSortedKeys({}).keys.empty());
 }
 
 TEST(SparseHaarTest, NegativeWeightsSupported) {
