@@ -330,7 +330,7 @@ GcsUpdateKernelResult RunGcsUpdateKernel(const GcsUpdateKernelOptions& opt) {
            &result.simd_hash_checksum);
 
   // Full UpdateBatch over sorted items (Send-Sketch feeds wavelet order, so
-  // consecutive items share groups): memo, group caching, and counter writes
+  // consecutive items share groups): group caching and counter writes
   // included. The checksum folds every counter's bit pattern.
   std::vector<uint64_t> sorted = items;
   std::sort(sorted.begin(), sorted.end());

@@ -238,7 +238,7 @@ ExternalMergeKernelResult RunExternalMergeKernel(
 ///    reduction), scalar table vs the best runtime tier (core/simd.h), 4
 ///    lanes per call in both so the ratio isolates the vector math;
 ///  - full UpdateBatch over sorted items under a forced scalar tier vs the
-///    best tier (memo, group caching, and counter writes included -- the
+///    best tier (group caching and counter writes included -- the
 ///    end-to-end map effect).
 /// Equal checksums prove the tiers computed identical hashes / tables.
 struct GcsUpdateKernelOptions {

@@ -6,9 +6,10 @@
 namespace wavemr {
 
 /// Send-Sketch (Section 4, "system issues"): each mapper scans its split,
-/// builds the local frequency vector, feeds it into a local GCS wavelet
-/// sketch (one update per *distinct* key -- the paper's first optimization),
-/// and ships only the non-zero sketch counters (the second optimization).
+/// builds the local frequency vector, sketches its sparse coefficients into
+/// a local GCS wavelet sketch (charged as one update per *distinct* key --
+/// the paper's first optimization), and ships only the non-zero sketch
+/// counters (the second optimization).
 /// The reducer merges the m linear sketches and extracts the top-k
 /// coefficients by hierarchical search. One round, but the per-item sketch
 /// update cost makes it the slowest method in the paper's Figure 5(b).

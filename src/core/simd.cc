@@ -338,7 +338,7 @@ __attribute__((target("avx2"))) void GcsSubSignBlockAvx2(
   if (sub_mask != 0) {
     // Pow2 sub-bucket path packs entirely in vector registers: sub fits in
     // 30 bits and the sign lands on bit 31, so (ih & mask) | ((sh & 1) << 31)
-    // is the memo slot already; narrow each 64-bit lane to 32 bits and store
+    // is the packed slot already; narrow each 64-bit lane to 32 bits and store
     // 4 slots at once. Two independent lane groups per iteration so the long
     // modular-multiply dependency chains overlap.
     for (; i + 8 <= n; i += 8) {

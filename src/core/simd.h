@@ -52,9 +52,9 @@ struct SimdKernels {
   ///   sub  = Hash2(ci, items[l] % p) & sub_mask     (sub_mask != 0), or
   ///          Hash2(ci, items[l] % p) % subbuckets   (sub_mask == 0)
   ///   sign = Hash4(cs, items[l] % p) & 1.
-  /// This is exactly the packed memo-slot format of
-  /// GroupCountSketch::UpdateBatchImpl; callers must ensure
-  /// subbuckets <= 2^30 so sub fits in 31 bits.
+  /// This is the packed slot GroupCountSketch::UpdateBatchSimd resolves
+  /// before its add pass; callers must ensure subbuckets <= 2^30 so sub
+  /// fits in 31 bits.
   void (*gcs_sub_sign_x4)(const uint64_t ci[2], const uint64_t cs[4],
                           const uint64_t items[4], uint64_t subbuckets,
                           uint64_t sub_mask, uint32_t out[4]);

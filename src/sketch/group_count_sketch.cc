@@ -102,22 +102,11 @@ void GroupCountSketch::UpdateBatchImpl(const uint64_t* items, const double* valu
   // widths; keep it visibly dead (zero) otherwise.
   const uint64_t sub_mask = kPow2Sub ? subbuckets_ - 1 : 0;
   const size_t row_stride = buckets_ * subbuckets_;
-  // Per-item hash memo for the low indices every error-tree path shares
-  // (see kMemoItems). Filled on first touch with the exact hash results, so
-  // memo hits and misses produce the same counter updates bit for bit. The
-  // packed slot keeps the sub-bucket in 31 bits; absurdly wide tables just
-  // skip the memo.
-  const uint64_t memo_bound = subbuckets_ <= (uint64_t{1} << 30) ? kMemoItems : 0;
-  if (memo_bound > 0 && item_memo_.empty()) {
-    item_memo_.assign(reps_ * kMemoItems, kMemoEmpty);
-  }
   for (size_t base = 0; base < n; base += kBlock) {
     const size_t end = std::min(n, base + kBlock);
     double* rep_row = table_.data();
     for (size_t r = 0; r < reps_; ++r, rep_row += row_stride) {
       const RepHash h = rep_hash_[r];
-      uint32_t* memo_row =
-          memo_bound > 0 ? item_memo_.data() + r * kMemoItems : nullptr;
       uint64_t cached_group = ~uint64_t{0};
       double* row = nullptr;
       for (size_t k = base; k < end; ++k) {
@@ -127,29 +116,11 @@ void GroupCountSketch::UpdateBatchImpl(const uint64_t* items, const double* valu
           cached_group = group;
           row = rep_row + (Hash2(h.g, group % kPrime) % buckets_) * subbuckets_;
         }
-        uint64_t sub;
-        bool positive;
-        if (item < memo_bound) {
-          uint32_t slot = memo_row[item];
-          if (slot == kMemoEmpty) {
-            const uint64_t ir = item % kPrime;
-            const uint64_t ih = Hash2(h.i, ir);
-            sub = kPow2Sub ? (ih & sub_mask) : (ih % subbuckets_);
-            positive = (Hash4(h.s, ir) & 1) != 0;
-            memo_row[item] = static_cast<uint32_t>(sub) |
-                             (positive ? 0x80000000u : 0u);
-          } else {
-            sub = slot & 0x7FFFFFFFu;
-            positive = (slot >> 31) != 0;
-          }
-        } else {
-          const uint64_t ir = item % kPrime;
-          const uint64_t ih = Hash2(h.i, ir);
-          sub = kPow2Sub ? (ih & sub_mask) : (ih % subbuckets_);
-          positive = (Hash4(h.s, ir) & 1) != 0;
-        }
+        const uint64_t ir = item % kPrime;
+        const uint64_t ih = Hash2(h.i, ir);
+        const uint64_t sub = kPow2Sub ? (ih & sub_mask) : (ih % subbuckets_);
         const double value = values[k];
-        row[sub] += positive ? value : -value;
+        row[sub] += (Hash4(h.s, ir) & 1) ? value : -value;
       }
     }
   }
@@ -175,62 +146,27 @@ void GroupCountSketch::UpdateBatchSimd(const SimdKernels& k,
                                        uint32_t group_shift) {
   // Same blocked rep-outer shape as UpdateBatchImpl, split into two passes
   // per (block, rep): pass 1 resolves every item's packed (sign, sub-bucket)
-  // slot -- memo hits by lookup, misses gathered densely and hashed with ONE
-  // gcs_sub_sign_block call -- and pass 2 applies the adds in the original
-  // item order with the cached group row. One indirect call per (block, rep)
-  // is what makes the vector tier pay off: at 4-lane granularity the
-  // uninlinable dispatch call costs more than the vector hash saves. Hash
-  // values are integers and the kernel is exact, so pass 2 touches the same
-  // cells with the same values in the same order as the scalar loop: the
-  // table stays bit-identical.
+  // slot with ONE gcs_sub_sign_block call, and pass 2 applies the adds in
+  // the original item order with the cached group row. One indirect call
+  // per (block, rep) is what makes the vector tier pay off: at 4-lane
+  // granularity the uninlinable dispatch call costs more than the vector
+  // hash saves. Hash values are integers and the kernel is exact, so pass 2
+  // touches the same cells with the same values in the same order as the
+  // scalar loop: the table stays bit-identical.
   constexpr size_t kBlock = 256;
   WAVEMR_DCHECK(subbuckets_ >= 1);
   const bool pow2 = (subbuckets_ & (subbuckets_ - 1)) == 0;
   const uint64_t sub_mask = pow2 ? subbuckets_ - 1 : 0;
   const size_t row_stride = buckets_ * subbuckets_;
-  const uint64_t memo_bound = kMemoItems;  // subbuckets_ <= 2^30 checked by caller
-  if (item_memo_.empty()) {
-    item_memo_.assign(reps_ * kMemoItems, kMemoEmpty);
-  }
   uint32_t packed[kBlock];
-  uint64_t pend_item[kBlock];
-  uint32_t pend_slot[kBlock];
-  uint16_t pend_pos[kBlock];
   for (size_t base = 0; base < n; base += kBlock) {
     const size_t end = std::min(n, base + kBlock);
     double* rep_row = table_.data();
     for (size_t r = 0; r < reps_; ++r, rep_row += row_stride) {
       const RepHash h = rep_hash_[r];
-      uint32_t* memo_row = item_memo_.data() + r * kMemoItems;
       // Pass 1: pack (sign, sub) per item.
-      size_t npend = 0;
-      for (size_t i = base; i < end; ++i) {
-        const uint64_t item = items[i];
-        if (item < memo_bound) {
-          uint32_t slot = memo_row[item];
-          if (slot == kMemoEmpty) {
-            // Scalar fill: bit-identical to the vector kernel by contract
-            // (tests/core/simd_test.cc), and misses happen at most
-            // kMemoItems times per repetition.
-            const uint64_t ir = item % kPrime;
-            const uint64_t ih = Hash2(h.i, ir);
-            const uint64_t sub = pow2 ? (ih & sub_mask) : (ih % subbuckets_);
-            const bool positive = (Hash4(h.s, ir) & 1) != 0;
-            slot = static_cast<uint32_t>(sub) | (positive ? 0x80000000u : 0u);
-            memo_row[item] = slot;
-          }
-          packed[i - base] = slot;
-        } else {
-          pend_item[npend] = item;
-          pend_pos[npend] = static_cast<uint16_t>(i - base);
-          ++npend;
-        }
-      }
-      if (npend > 0) {
-        k.gcs_sub_sign_block(h.i, h.s, pend_item, npend, subbuckets_, sub_mask,
-                             pend_slot);
-        for (size_t j = 0; j < npend; ++j) packed[pend_pos[j]] = pend_slot[j];
-      }
+      k.gcs_sub_sign_block(h.i, h.s, items + base, end - base, subbuckets_,
+                           sub_mask, packed);
       // Pass 2: apply in input order with the group row cached across runs.
       uint64_t cached_group = ~uint64_t{0};
       double* row = nullptr;

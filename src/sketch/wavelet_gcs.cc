@@ -45,35 +45,39 @@ uint64_t WaveletGcs::NumGroupsAtLevel(size_t level) const {
 void WaveletGcs::UpdateData(uint64_t x, double count) {
   const uint32_t bits = Log2Floor(u_);
   // The error-tree path of x: the average coefficient plus one detail
-  // coefficient per level, in ascending index order. Built once on the
-  // stack, then bulk-applied level by level -- each sketch level walks the
-  // whole (sorted) path with its per-repetition hashes in registers and the
-  // group bucket reused across items that share a dyadic group.
-  uint64_t indices[kMaxTreeDepth + 1];
-  double deltas[kMaxTreeDepth + 1];
+  // coefficient per level, in ascending index order, built on the stack.
+  WCoeff path[kMaxTreeDepth + 1];
   WAVEMR_DCHECK(bits <= kMaxTreeDepth);
-  indices[0] = 0;
-  deltas[0] = count / std::sqrt(static_cast<double>(u_));
+  path[0] = {0, count / std::sqrt(static_cast<double>(u_))};
   for (uint32_t j = 0; j < bits; ++j) {
     uint64_t block = u_ >> j;
     uint64_t k = x / block;
     uint64_t offset = x - k * block;
     double mag = count / std::sqrt(static_cast<double>(block));
-    indices[j + 1] = (uint64_t{1} << j) + k;
-    deltas[j + 1] = (offset < block / 2) ? -mag : mag;
+    path[j + 1] = {(uint64_t{1} << j) + k, (offset < block / 2) ? -mag : mag};
   }
-  const size_t n = bits + 1;
-  for (size_t l = 0; l < levels_.size(); ++l) {
-    levels_[l].UpdateBatch(indices, deltas, n,
-                           static_cast<uint32_t>(degree_bits_) *
-                               static_cast<uint32_t>(l));
-  }
+  UpdateCoeffs({path, bits + 1});
 }
 
-void WaveletGcs::UpdateCoeff(uint64_t index, double delta) {
-  WAVEMR_DCHECK(index < u_);
-  for (size_t l = 0; l < levels_.size(); ++l) {
-    levels_[l].Update(GroupAtLevel(index, l), index, delta);
+void WaveletGcs::UpdateCoeffs(std::span<const WCoeff> coeffs) {
+  // Index and value columns a stack chunk at a time (UpdateBatch's block
+  // size), so the coefficient vector is never copied whole. Each level then
+  // walks the chunk with its per-repetition hashes in registers and the
+  // group bucket reused across indices that share a dyadic group.
+  constexpr size_t kChunk = 256;
+  uint64_t indices[kChunk];
+  double deltas[kChunk];
+  for (size_t base = 0; base < coeffs.size(); base += kChunk) {
+    const size_t n = std::min(kChunk, coeffs.size() - base);
+    for (size_t i = 0; i < n; ++i) {
+      indices[i] = coeffs[base + i].index;
+      deltas[i] = coeffs[base + i].value;
+    }
+    for (size_t l = 0; l < levels_.size(); ++l) {
+      levels_[l].UpdateBatch(indices, deltas, n,
+                             static_cast<uint32_t>(degree_bits_) *
+                                 static_cast<uint32_t>(l));
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "sketch/group_count_sketch.h"
@@ -34,12 +35,14 @@ struct WaveletGcsOptions {
 /// per-item cost is precisely why Send-Sketch loses the running-time race in
 /// the paper's Figure 5(b).
 ///
+/// The sketch is linear: UpdateCoeffs over a split's sparse transform gives
+/// the sketch of one UpdateData per key, updating each coefficient once.
+///
 /// Heavy coefficients are recovered by descending the hierarchy from the
 /// root, expanding only groups whose estimated energy clears a threshold.
 class WaveletGcs {
  public:
-  /// Deepest supported error tree (u <= 2^60); bounds the stack buffers the
-  /// bulk update path uses.
+  /// Deepest supported error tree (u <= 2^60); bounds UpdateData's path.
   static constexpr uint32_t kMaxTreeDepth = 60;
 
   WaveletGcs(uint64_t u, const WaveletGcsOptions& options);
@@ -51,8 +54,10 @@ class WaveletGcs {
   /// updates).
   void UpdateData(uint64_t x, double count);
 
-  /// w(index) += delta in the coefficient domain.
-  void UpdateCoeff(uint64_t index, double delta);
+  /// w(c.index) += c.value for every c in `coeffs`, in the coefficient
+  /// domain. Index order (SparseHaarSorted's output) maximizes the group
+  /// bucket reuse inside each level; any order is correct.
+  void UpdateCoeffs(std::span<const WCoeff> coeffs);
 
   /// Point estimate of coefficient `index` from the singleton level.
   double EstimateCoeff(uint64_t index) const;
@@ -84,9 +89,6 @@ class WaveletGcs {
   void AddToFlatCounter(uint64_t flat_index, double delta);
 
  private:
-  uint64_t GroupAtLevel(uint64_t index, size_t level) const {
-    return index >> (degree_bits_ * level);
-  }
   uint64_t NumGroupsAtLevel(size_t level) const;
 
   uint64_t u_;

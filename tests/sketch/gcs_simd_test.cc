@@ -2,8 +2,9 @@
 // (core/simd.h): the scalar table is the reference, and any vector tier the
 // host can run must produce exactly the same counters, energies, and
 // estimates. Complements tests/core/simd_test.cc (raw kernels) by exercising
-// the integrated sketch paths: memo hits and misses, pow2 and non-pow2
-// sub-bucket widths, short wavelet-style batches and long sorted ones.
+// the integrated sketch paths: pow2 and non-pow2 sub-bucket widths, short
+// batches with partial lane groups and long ones, index-ordered runs and
+// repeated items.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,14 +29,22 @@ struct BatchInput {
   std::vector<double> values;
 };
 
-// Items deliberately straddle the memo bound (kMemoItems = 1024): runs of
-// low repeated indices (the wavelet error-tree shape) plus high random ones.
+// Two shapes interleaved in runs: ascending distinct indices with random
+// gaps (a sparse coefficient vector in index order, the shape Send-Sketch
+// feeds, where neighbours share dyadic groups) and random items drawn from a
+// small range, so the same item and the same cell recur within one batch.
 BatchInput MakeInput(uint64_t seed, size_t n, uint64_t domain) {
   BatchInput in;
   Rng rng(seed);
+  uint64_t next = 0;
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t item = (i % 3 == 0) ? rng.NextBounded(512)
-                                       : rng.NextBounded(domain);
+    uint64_t item;
+    if ((i / 50) % 2 == 0) {
+      next = (next + 1 + rng.NextBounded(6)) % domain;
+      item = next;
+    } else {
+      item = rng.NextBounded(512);
+    }
     in.items.push_back(item);
     in.values.push_back((rng.NextDouble() - 0.5) * 64.0);
   }
@@ -46,8 +55,8 @@ GroupCountSketch BuildUnderTier(SimdTier tier, size_t subbuckets,
                                 const BatchInput& in, size_t chunk) {
   SimdTierGuard guard(tier);
   GroupCountSketch sketch(4242, 5, 32, subbuckets);
-  // Feed in chunks so partial vector lane groups (chunk % 4 != 0) and the
-  // memo warm-up both get exercised.
+  // Feed in chunks so partial vector lane groups (chunk % 4 != 0) and
+  // partial blocks both get exercised.
   for (size_t base = 0; base < in.items.size(); base += chunk) {
     const size_t n = std::min(chunk, in.items.size() - base);
     sketch.UpdateBatch(in.items.data() + base, in.values.data() + base, n, 3);

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "core/rng.h"
 #include "sketch/wavelet_gcs.h"
 #include "wavelet/haar.h"
+#include "wavelet/sparse.h"
 
 namespace wavemr {
 namespace {
@@ -125,14 +128,20 @@ WaveletGcsOptions TestGcsOptions() {
   return opt;
 }
 
+// w(index) += value through the batch entry point.
+void UpdateOne(WaveletGcs* sketch, uint64_t index, double value) {
+  const WCoeff c{index, value};
+  sketch->UpdateCoeffs({&c, 1});
+}
+
 TEST(WaveletGcsTest, RecoversPlantedHeavyCoefficients) {
   const uint64_t u = 1024;
   WaveletGcs sketch(u, TestGcsOptions());
   // Plant heavy coefficients directly in the wavelet domain.
   std::set<uint64_t> heavy = {3, 170, 512, 900};
-  for (uint64_t idx : heavy) sketch.UpdateCoeff(idx, 500.0);
+  for (uint64_t idx : heavy) UpdateOne(&sketch, idx, 500.0);
   Rng rng(1);
-  for (int i = 0; i < 500; ++i) sketch.UpdateCoeff(rng.NextBounded(u), 1.0);
+  for (int i = 0; i < 500; ++i) UpdateOne(&sketch, rng.NextBounded(u), 1.0);
 
   std::vector<WCoeff> top = sketch.FindTopK(4);
   ASSERT_EQ(top.size(), 4u);
@@ -183,36 +192,134 @@ TEST(WaveletGcsTest, MergeAndFlatCountersMatchDirectUpdates) {
   }
 }
 
+// The error-tree path of a point update c * e_x, in ascending index order:
+// the coefficients UpdateData touches.
+std::vector<WCoeff> PathCoefficients(uint64_t x, double c, uint64_t u) {
+  std::vector<WCoeff> path = {{0, c / std::sqrt(static_cast<double>(u))}};
+  for (uint32_t j = 0; (uint64_t{1} << j) < u; ++j) {
+    uint64_t block = u >> j;
+    uint64_t k = x / block;
+    uint64_t offset = x - k * block;
+    double mag = c / std::sqrt(static_cast<double>(block));
+    path.push_back({(uint64_t{1} << j) + k, (offset < block / 2) ? -mag : mag});
+  }
+  return path;
+}
+
+// Every counter of `sketch`, by flat index.
+std::vector<double> FlatCounters(const WaveletGcs& sketch) {
+  std::vector<double> out(sketch.NumCounters(), 0.0);
+  sketch.ForEachNonzeroCounter([&out](uint64_t i, double v) { out[i] = v; });
+  return out;
+}
+
+// The flat counters a unit update of coefficient `index` touches.
+std::vector<uint64_t> Footprint(uint64_t u, const WaveletGcsOptions& opt,
+                                uint64_t index) {
+  WaveletGcs probe(u, opt);
+  UpdateOne(&probe, index, 1.0);
+  std::vector<uint64_t> cells;
+  probe.ForEachNonzeroCounter([&cells](uint64_t i, double) { cells.push_back(i); });
+  return cells;
+}
+
 TEST(WaveletGcsTest, BulkUpdateDataMatchesPerCoefficientPath) {
-  // UpdateData now feeds every level one sorted batch; the counters must be
-  // exactly what the per-coefficient UpdateCoeff walk produces (the add
-  // order per cell is preserved: ascending coefficient index).
+  // UpdateData feeds every level one sorted batch; the counters must be
+  // exactly what applying its path one coefficient at a time produces (the
+  // add order per cell is preserved: ascending coefficient index).
   const uint64_t u = 512;
   WaveletGcsOptions opt = TestGcsOptions();
-  WaveletGcs bulk(u, opt), scalar(u, opt);
+  WaveletGcs bulk(u, opt), single(u, opt);
   Rng rng(77);
   std::vector<std::pair<uint64_t, double>> points;
   for (int i = 0; i < 200; ++i) {
     points.emplace_back(rng.NextBounded(u), 1.0 + rng.NextBounded(20));
   }
   for (const auto& [x, c] : points) bulk.UpdateData(x, c);
-  // Reference path: the error-tree coefficients of each point, applied one
-  // UpdateCoeff at a time in ascending index order.
   for (const auto& [x, c] : points) {
-    scalar.UpdateCoeff(0, c / std::sqrt(static_cast<double>(u)));
-    for (uint32_t j = 0; j < 9; ++j) {  // log2(512) levels
-      uint64_t block = u >> j;
-      uint64_t k = x / block;
-      uint64_t offset = x - k * block;
-      double mag = c / std::sqrt(static_cast<double>(block));
-      scalar.UpdateCoeff((uint64_t{1} << j) + k, (offset < block / 2) ? -mag : mag);
+    for (const WCoeff& w : PathCoefficients(x, c, u)) {
+      UpdateOne(&single, w.index, w.value);
     }
   }
-  uint64_t differing = 0;
-  for (uint64_t i = 0; i < u; ++i) {
-    if (bulk.EstimateCoeff(i) != scalar.EstimateCoeff(i)) ++differing;
+  EXPECT_EQ(FlatCounters(bulk), FlatCounters(single));
+}
+
+TEST(WaveletGcsTest, CoefficientFeedMatchesPerKeyFeed) {
+  // Linearity: sketching a split's sparse coefficient vector is the same
+  // sketch as one UpdateData per distinct key. Only the rounding of the
+  // sums differs, so each counter agrees to 1e-12 of the absolute mass the
+  // per-key feed put into it (and counters no update reaches stay 0).
+  const uint64_t u = 1 << 12;
+  WaveletGcsOptions opt = TestGcsOptions();
+  opt.total_bytes = 32 * 1024;  // small tables: many shared cells
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    Rng rng(seed);
+    std::vector<uint64_t> keys;
+    for (int i = 0; i < 3000; ++i) {
+      keys.push_back(rng.NextBounded(rng.NextBounded(u) + 1));  // skewed
+    }
+    const SortedSparseVector v = CountSortedKeys(keys);
+
+    WaveletGcs per_key(u, opt), per_coeff(u, opt);
+    std::vector<double> mass(per_key.NumCounters(), 0.0);
+    std::map<uint64_t, std::vector<uint64_t>> footprints;
+    for (size_t i = 0; i < v.keys.size(); ++i) {
+      per_key.UpdateData(v.keys[i], v.weights[i]);
+      for (const WCoeff& w : PathCoefficients(v.keys[i], v.weights[i], u)) {
+        auto it = footprints.find(w.index);
+        if (it == footprints.end()) {
+          it = footprints.emplace(w.index, Footprint(u, opt, w.index)).first;
+        }
+        for (uint64_t cell : it->second) mass[cell] += std::fabs(w.value);
+      }
+    }
+    per_coeff.UpdateCoeffs(SparseHaarSorted(v, u));
+
+    const std::vector<double> a = FlatCounters(per_key);
+    const std::vector<double> b = FlatCounters(per_coeff);
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_LE(std::fabs(a[i] - b[i]), 1e-12 * mass[i])
+          << "seed " << seed << " counter " << i;
+    }
   }
-  EXPECT_EQ(differing, 0u);
+}
+
+TEST(WaveletGcsTest, ZeroCoefficientLeavesItsCellsUntouched) {
+  // Equal counts on sibling keys 2i and 2i+1 make their parent detail
+  // coefficient (index u/2 + i) exactly zero. SparseHaarSorted emits no
+  // exact zero, so the coefficient feed never touches its cells: every cell
+  // only a zero coefficient hashes to stays exactly 0.
+  const uint64_t u = 1 << 10;
+  WaveletGcsOptions opt = TestGcsOptions();
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> zeros;
+  for (uint64_t i = 0; i < u / 2; i += 37) {
+    for (uint64_t r = 0; r < 3 + i % 5; ++r) {
+      keys.push_back(2 * i);
+      keys.push_back(2 * i + 1);
+    }
+    zeros.push_back(u / 2 + i);
+  }
+  for (uint64_t r = 0; r < 7; ++r) keys.push_back(300);  // an unpaired key
+  const std::vector<WCoeff> coeffs = SparseHaarSorted(CountSortedKeys(keys), u);
+  WaveletGcs sketch(u, opt);
+  sketch.UpdateCoeffs(coeffs);
+  const std::vector<double> counters = FlatCounters(sketch);
+
+  std::set<uint64_t> reached;
+  for (const WCoeff& c : coeffs) {
+    EXPECT_NE(c.value, 0.0) << c.index;
+    for (uint64_t cell : Footprint(u, opt, c.index)) reached.insert(cell);
+  }
+  size_t checked = 0;
+  for (uint64_t z : zeros) {
+    for (uint64_t cell : Footprint(u, opt, z)) {
+      if (reached.count(cell) > 0) continue;
+      EXPECT_EQ(counters[cell], 0.0) << "coefficient " << z << " cell " << cell;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(WaveletGcsTest, EnergyEstimateTracksParseval) {
@@ -221,7 +328,7 @@ TEST(WaveletGcsTest, EnergyEstimateTracksParseval) {
   double energy = 0.0;
   for (uint64_t idx = 0; idx < 32; ++idx) {
     double v = static_cast<double>(idx) * 3.0;
-    sketch.UpdateCoeff(idx, v);
+    UpdateOne(&sketch, idx, v);
     energy += v * v;
   }
   EXPECT_NEAR(sketch.EstimateEnergy(), energy, 0.35 * energy);
