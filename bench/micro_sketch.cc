@@ -1,34 +1,12 @@
-// Microbenchmarks of the sketch substrate (google-benchmark). The GCS vs
-// AMS update gap is the reason the paper implements Send-Sketch with GCS.
+// Microbenchmarks of the wavelet-domain Group-Count Sketch that backs
+// Send-Sketch (google-benchmark): per-point updates and top-k recovery.
 #include <benchmark/benchmark.h>
 
 #include "core/rng.h"
-#include "sketch/ams_sketch.h"
-#include "sketch/count_sketch.h"
 #include "sketch/wavelet_gcs.h"
 
 namespace wavemr {
 namespace {
-
-void BM_CountSketchUpdate(benchmark::State& state) {
-  CountSketch sketch(1, 5, 1 << 12);
-  Rng rng(2);
-  for (auto _ : state) {
-    sketch.Update(rng.NextBounded(1 << 20), 1.0);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CountSketchUpdate);
-
-void BM_AmsSketchUpdate(benchmark::State& state) {
-  AmsSketch sketch(1, 5, static_cast<size_t>(state.range(0)));
-  Rng rng(2);
-  for (auto _ : state) {
-    sketch.Update(rng.NextBounded(1 << 20), 1.0);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AmsSketchUpdate)->Arg(64)->Arg(256);
 
 void BM_WaveletGcsDataUpdate(benchmark::State& state) {
   const uint64_t u = uint64_t{1} << state.range(0);

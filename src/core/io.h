@@ -28,7 +28,6 @@ struct IoResult {
   enum class Op {
     kNone = 0,  // success
     kOpen,
-    kSeek,
     kRead,
     kWrite,
     kClose,
@@ -46,7 +45,6 @@ struct IoResult {
     switch (op) {
       case Op::kNone: return "ok";
       case Op::kOpen: return "open";
-      case Op::kSeek: return "seek";
       case Op::kRead: return "read";
       case Op::kWrite: return "write";
       case Op::kClose: return "close";

@@ -26,8 +26,15 @@ class Serializer {
 
   template <typename T>
   void PutVector(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
     Put<uint64_t>(v.size());
+    PutArray(v);
+  }
+
+  /// The elements of `v` with no length prefix: the reader already knows
+  /// the count and passes it to Deserializer::GetArray.
+  template <typename T>
+  void PutArray(const std::vector<T>& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
     size_t off = buf_.size();
     buf_.resize(off + v.size() * sizeof(T));
     if (!v.empty()) std::memcpy(buf_.data() + off, v.data(), v.size() * sizeof(T));
@@ -62,8 +69,13 @@ class Deserializer {
 
   template <typename T>
   std::vector<T> GetVector() {
+    return GetArray<T>(Get<uint64_t>());
+  }
+
+  /// Inverse of Serializer::PutArray: `n` elements, no length prefix.
+  template <typename T>
+  std::vector<T> GetArray(uint64_t n) {
     static_assert(std::is_trivially_copyable_v<T>);
-    uint64_t n = Get<uint64_t>();
     WAVEMR_CHECK_LE(n, remaining() / sizeof(T));  // n * sizeof(T) could wrap
     std::vector<T> v(n);
     if (n > 0) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));

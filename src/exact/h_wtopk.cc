@@ -1,9 +1,10 @@
 #include "exact/h_wtopk.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_map>
 
+#include "core/radix_sort.h"
 #include "core/serialize.h"
 #include "mapreduce/job.h"
 #include "wavelet/haar.h"
@@ -17,10 +18,11 @@ namespace {
 // Intermediate value: (split j, w_{i,j}) with flags marking the sender's
 // k-th highest / k-th lowest coefficient. The paper encodes the marks by
 // offsetting j by m or 2m; the wire size is the same 4+4+8 = 16 bytes
-// either way (key included).
+// either way (key included). The value comes first so the struct packs into
+// 16 bytes in memory: shuffle runs and the coordinator hold one per message.
 struct HwMsg {
-  uint32_t split = 0;
   double value = 0.0;
+  uint32_t split = 0;
   uint8_t flags = 0;
 };
 constexpr uint8_t kMarksKthHigh = 1;
@@ -48,37 +50,31 @@ std::vector<WCoeff> LoadCoeffs(const StatusOr<std::string>& blob) {
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator state, persisted on the reducer machine between rounds.
+// Coordinator state, persisted on the reducer machine between rounds: one row
+// per coefficient index, stored as index-sorted columns. Row r's sender set
+// is ceil(m/64) words; bit j says split j's exact score is in partial[r].
 // ---------------------------------------------------------------------------
-
-struct CoordItem {
-  double partial = 0.0;
-  std::vector<bool> from;  // from[j]: split j's exact score is in `partial`
-};
 
 struct CoordState {
   uint64_t m = 0;
   double t1 = 0.0;
-  std::unordered_map<uint64_t, CoordItem> items;
+  std::vector<uint64_t> index;
+  std::vector<double> partial;
+  std::vector<uint64_t> senders;
 
+  uint64_t words() const { return (m + 63) / 64; }
+  size_t size() const { return index.size(); }
+  const uint64_t* from(size_t row) const { return senders.data() + row * words(); }
+
+  // m, t1, the row count, then the three columns:
+  // 24 + n * (16 + 8 * ceil(m/64)) bytes.
   std::string Serialize() const {
     Serializer s;
     s.Put<uint64_t>(m);
     s.Put<double>(t1);
-    s.Put<uint64_t>(items.size());
-    for (const auto& [index, item] : items) {
-      s.Put<uint64_t>(index);
-      s.Put<double>(item.partial);
-      // Bit-packed sender set.
-      uint64_t words = (m + 63) / 64;
-      for (uint64_t w = 0; w < words; ++w) {
-        uint64_t bits = 0;
-        for (uint64_t b = 0; b < 64 && w * 64 + b < m; ++b) {
-          if (item.from[w * 64 + b]) bits |= uint64_t{1} << b;
-        }
-        s.Put<uint64_t>(bits);
-      }
-    }
+    s.PutVector(index);
+    s.PutArray(partial);
+    s.PutArray(senders);
     return s.Release();
   }
 
@@ -87,25 +83,66 @@ struct CoordState {
     CoordState state;
     state.m = d.Get<uint64_t>();
     state.t1 = d.Get<double>();
-    uint64_t n = d.Get<uint64_t>();
-    state.items.reserve(n * 2);
-    uint64_t words = (state.m + 63) / 64;
-    for (uint64_t i = 0; i < n; ++i) {
-      uint64_t index = d.Get<uint64_t>();
-      CoordItem item;
-      item.partial = d.Get<double>();
-      item.from.assign(state.m, false);
-      for (uint64_t w = 0; w < words; ++w) {
-        uint64_t bits = d.Get<uint64_t>();
-        for (uint64_t b = 0; b < 64 && w * 64 + b < state.m; ++b) {
-          item.from[w * 64 + b] = (bits >> b) & 1;
-        }
-      }
-      state.items.emplace(index, std::move(item));
-    }
+    state.index = d.GetVector<uint64_t>();
+    state.partial = d.GetArray<double>(state.size());
+    state.senders = d.GetArray<uint64_t>(state.size() * state.words());
     return state;
   }
 };
+
+// Folds one round's messages into `state`. A stable sort by index keeps each
+// index's messages in arrival (split) order, so every partial sum adds its
+// terms in the order the splits sent them, whatever the delivery mode. The
+// index groups are then merge-joined into the state's rows. A group with no
+// row opens one when `open_rows` is set and is dropped otherwise.
+void FoldMessages(std::vector<uint64_t> keys, std::vector<HwMsg> msgs,
+                  bool open_rows, CoordState* state) {
+  RadixSortByKey(keys, &msgs);
+  size_t rows = state->size();
+  if (open_rows) {
+    for (size_t i = 0; i < keys.size(); ++i) rows += i == 0 || keys[i] != keys[i - 1];
+  }
+  const uint64_t words = state->words();
+  CoordState out;
+  out.m = state->m;
+  out.t1 = state->t1;
+  out.index.reserve(rows);
+  out.partial.reserve(rows);
+  out.senders.reserve(rows * words);
+  auto copy_row = [&](size_t row) {
+    out.index.push_back(state->index[row]);
+    out.partial.push_back(state->partial[row]);
+    out.senders.insert(out.senders.end(), state->from(row), state->from(row) + words);
+  };
+  size_t row = 0;
+  size_t i = 0;
+  while (i < keys.size()) {
+    const uint64_t index = keys[i];
+    while (row < state->size() && state->index[row] < index) copy_row(row++);
+    if (row < state->size() && state->index[row] == index) {
+      copy_row(row++);
+    } else if (open_rows) {
+      out.index.push_back(index);
+      out.partial.push_back(0.0);
+      out.senders.resize(out.senders.size() + words, 0);
+    } else {
+      while (i < keys.size() && keys[i] == index) ++i;
+      continue;
+    }
+    double& partial = out.partial.back();
+    uint64_t* from = out.senders.data() + out.senders.size() - words;
+    for (; i < keys.size() && keys[i] == index; ++i) {
+      const HwMsg& msg = msgs[i];
+      const uint64_t bit = uint64_t{1} << (msg.split % 64);
+      if ((from[msg.split / 64] & bit) == 0) {
+        partial += msg.value;
+        from[msg.split / 64] |= bit;
+      }
+    }
+  }
+  while (row < state->size()) copy_row(row++);
+  *state = std::move(out);
+}
 
 // tau(x) = 0 when the bounds straddle zero, else min(|tau+|, |tau-|).
 double MagnitudeLowerBound(double tau_plus, double tau_minus) {
@@ -195,7 +232,7 @@ class Round1Mapper : public MapperBase<Round1Mapper, uint64_t, HwMsg> {
         unsent.push_back(coeffs[p]);
       } else {
         const uint8_t flags = send[p] & (kMarksKthHigh | kMarksKthLow);
-        ctx.Emit(coeffs[p].index, HwMsg{split_, coeffs[p].value, flags});
+        ctx.Emit(coeffs[p].index, HwMsg{coeffs[p].value, split_, flags});
       }
     }
     ctx.SaveState(SerializeCoeffs(unsent));
@@ -206,7 +243,36 @@ class Round1Mapper : public MapperBase<Round1Mapper, uint64_t, HwMsg> {
   const BuildOptions& options_;
 };
 
-class Round1Reducer : public Reducer<uint64_t, HwMsg> {
+// The coordinator of every round: Absorb appends (index, message) columns,
+// and Finish folds them into the state with FoldMessages.
+class CoordReducer : public Reducer<uint64_t, HwMsg> {
+ public:
+  void Absorb(const uint64_t& index, const HwMsg& msg,
+              ReduceContext<uint64_t, HwMsg>& ctx) override {
+    (void)ctx;
+    keys_.push_back(index);
+    msgs_.push_back(msg);
+  }
+
+ protected:
+  void Fold(bool open_rows) {
+    FoldMessages(std::move(keys_), std::move(msgs_), open_rows, &state_);
+  }
+
+  void Load(ReduceContext<uint64_t, HwMsg>& ctx) {
+    auto blob = ctx.LoadState();
+    WAVEMR_CHECK(blob.ok()) << "H-WTopk reducer missing coordinator state";
+    state_ = CoordState::Deserialize(*blob);
+  }
+
+  CoordState state_;
+
+ private:
+  std::vector<uint64_t> keys_;
+  std::vector<HwMsg> msgs_;
+};
+
+class Round1Reducer : public CoordReducer {
  public:
   Round1Reducer(uint64_t m, size_t k) : m_(m), k_(k) {
     kth_high_.assign(m, 0.0);
@@ -216,37 +282,34 @@ class Round1Reducer : public Reducer<uint64_t, HwMsg> {
 
   void Absorb(const uint64_t& index, const HwMsg& msg,
               ReduceContext<uint64_t, HwMsg>& ctx) override {
-    (void)ctx;
-    CoordItem& item = state_.items[index];
-    if (item.from.empty()) item.from.assign(m_, false);
-    if (!item.from[msg.split]) {
-      item.partial += msg.value;
-      item.from[msg.split] = true;
-    }
     if (msg.flags & kMarksKthHigh) kth_high_[msg.split] = msg.value;
     if (msg.flags & kMarksKthLow) kth_low_[msg.split] = msg.value;
+    CoordReducer::Absorb(index, msg, ctx);
   }
 
   void Finish(ReduceContext<uint64_t, HwMsg>& ctx) override {
+    Fold(/*open_rows=*/true);
     double total_high = 0.0, total_low = 0.0;
     for (uint64_t j = 0; j < m_; ++j) {
       total_high += kth_high_[j];
       total_low += kth_low_[j];
     }
     std::vector<double> taus;
-    taus.reserve(state_.items.size());
-    for (const auto& [index, item] : state_.items) {
-      double tau_plus = item.partial + total_high;
-      double tau_minus = item.partial + total_low;
-      for (uint64_t j = 0; j < m_; ++j) {
-        if (item.from[j]) {
+    taus.reserve(state_.size());
+    for (size_t row = 0; row < state_.size(); ++row) {
+      double tau_plus = state_.partial[row] + total_high;
+      double tau_minus = state_.partial[row] + total_low;
+      // Senders in ascending split order.
+      for (uint64_t w = 0; w < state_.words(); ++w) {
+        for (uint64_t bits = state_.from(row)[w]; bits != 0; bits &= bits - 1) {
+          const uint64_t j = w * 64 + static_cast<uint64_t>(std::countr_zero(bits));
           tau_plus -= kth_high_[j];
           tau_minus -= kth_low_[j];
         }
       }
       taus.push_back(MagnitudeLowerBound(tau_plus, tau_minus));
     }
-    ctx.ChargeCpuNs(static_cast<double>(state_.items.size()) * m_ * 2.0);
+    ctx.ChargeCpuNs(static_cast<double>(state_.size()) * m_ * 2.0);
     state_.t1 = KthLargest(std::move(taus), k_);
     ctx.SaveState(state_.Serialize());
   }
@@ -257,7 +320,6 @@ class Round1Reducer : public Reducer<uint64_t, HwMsg> {
   uint64_t m_;
   size_t k_;
   std::vector<double> kth_high_, kth_low_;
-  CoordState state_;
 };
 
 // ---------------------------------------------------------------------------
@@ -280,7 +342,7 @@ class Round2Mapper : public MapperBase<Round2Mapper, uint64_t, HwMsg> {
     size_t kept = 0;
     for (const WCoeff& c : coeffs) {
       if (std::fabs(c.value) > threshold) {
-        ctx.Emit(c.index, HwMsg{split_, c.value, 0});
+        ctx.Emit(c.index, HwMsg{c.value, split_, 0});
       } else {
         coeffs[kept++] = c;
       }
@@ -293,56 +355,48 @@ class Round2Mapper : public MapperBase<Round2Mapper, uint64_t, HwMsg> {
   uint32_t split_;
 };
 
-class Round2Reducer : public Reducer<uint64_t, HwMsg> {
+class Round2Reducer : public CoordReducer {
  public:
   explicit Round2Reducer(size_t k) : k_(k) {}
 
-  void Start(ReduceContext<uint64_t, HwMsg>& ctx) override {
-    auto blob = ctx.LoadState();
-    WAVEMR_CHECK(blob.ok()) << "round-2 reducer missing coordinator state";
-    state_ = CoordState::Deserialize(*blob);
-  }
-
-  void Absorb(const uint64_t& index, const HwMsg& msg,
-              ReduceContext<uint64_t, HwMsg>& ctx) override {
-    (void)ctx;
-    CoordItem& item = state_.items[index];
-    if (item.from.empty()) item.from.assign(state_.m, false);
-    if (!item.from[msg.split]) {
-      item.partial += msg.value;
-      item.from[msg.split] = true;
-    }
-  }
+  void Start(ReduceContext<uint64_t, HwMsg>& ctx) override { Load(ctx); }
 
   void Finish(ReduceContext<uint64_t, HwMsg>& ctx) override {
+    Fold(/*open_rows=*/true);
     const double threshold = state_.t1 / static_cast<double>(state_.m);
-    std::vector<double> taus;
-    std::vector<std::pair<uint64_t, double>> prune_bound;
-    taus.reserve(state_.items.size());
-    prune_bound.reserve(state_.items.size());
-    for (const auto& [index, item] : state_.items) {
-      uint64_t missing = 0;
-      for (bool got : item.from) missing += got ? 0 : 1;
-      double slack = static_cast<double>(missing) * threshold;
-      double tau_plus = item.partial + slack;
-      double tau_minus = item.partial - slack;
-      taus.push_back(MagnitudeLowerBound(tau_plus, tau_minus));
-      prune_bound.emplace_back(index,
-                               std::max(std::fabs(tau_plus), std::fabs(tau_minus)));
-    }
-    ctx.ChargeCpuNs(static_cast<double>(state_.items.size()) * state_.m);
-    t2_ = KthLargest(taus, k_);
-
-    // Keep only candidates: items whose refined bound can still reach T2.
-    std::vector<uint32_t> candidates;
-    for (const auto& [index, bound] : prune_bound) {
-      if (bound >= t2_) {
-        candidates.push_back(static_cast<uint32_t>(index));
-      } else {
-        state_.items.erase(index);
+    std::vector<double> taus, prune_bound;
+    taus.reserve(state_.size());
+    prune_bound.reserve(state_.size());
+    for (size_t row = 0; row < state_.size(); ++row) {
+      uint64_t missing = state_.m;
+      for (uint64_t w = 0; w < state_.words(); ++w) {
+        missing -= static_cast<uint64_t>(std::popcount(state_.from(row)[w]));
       }
+      double slack = static_cast<double>(missing) * threshold;
+      double tau_plus = state_.partial[row] + slack;
+      double tau_minus = state_.partial[row] - slack;
+      taus.push_back(MagnitudeLowerBound(tau_plus, tau_minus));
+      prune_bound.push_back(std::max(std::fabs(tau_plus), std::fabs(tau_minus)));
     }
-    std::sort(candidates.begin(), candidates.end());
+    ctx.ChargeCpuNs(static_cast<double>(state_.size()) * state_.m);
+    t2_ = KthLargest(std::move(taus), k_);
+
+    // Keep only candidates: rows whose refined bound can still reach T2,
+    // compacted in place and still in index order.
+    const uint64_t words = state_.words();
+    std::vector<uint32_t> candidates;
+    for (size_t row = 0; row < state_.size(); ++row) {
+      if (prune_bound[row] < t2_) continue;
+      const size_t kept = candidates.size();
+      candidates.push_back(static_cast<uint32_t>(state_.index[row]));
+      if (kept == row) continue;
+      state_.index[kept] = state_.index[row];
+      state_.partial[kept] = state_.partial[row];
+      std::copy_n(state_.from(row), words, state_.senders.begin() + kept * words);
+    }
+    state_.index.resize(candidates.size());
+    state_.partial.resize(candidates.size());
+    state_.senders.resize(candidates.size() * words);
 
     // Publish R through the Distributed Cache (4 bytes per candidate id,
     // like the paper's 4-byte coefficient indices).
@@ -357,7 +411,6 @@ class Round2Reducer : public Reducer<uint64_t, HwMsg> {
  private:
   size_t k_;
   double t2_ = 0.0;
-  CoordState state_;
 };
 
 // ---------------------------------------------------------------------------
@@ -386,7 +439,7 @@ class Round3Mapper : public MapperBase<Round3Mapper, uint64_t, HwMsg> {
       it = std::lower_bound(it, coeffs.end(), candidate,
                             [](const WCoeff& c, uint64_t index) { return c.index < index; });
       if (it != coeffs.end() && it->index == candidate) {
-        ctx.Emit(candidate, HwMsg{split_, it->value, 0});
+        ctx.Emit(candidate, HwMsg{it->value, split_, 0});
       }
     }
   }
@@ -395,32 +448,18 @@ class Round3Mapper : public MapperBase<Round3Mapper, uint64_t, HwMsg> {
   uint32_t split_;
 };
 
-class Round3Reducer : public Reducer<uint64_t, HwMsg> {
+class Round3Reducer : public CoordReducer {
  public:
   explicit Round3Reducer(size_t k) : k_(k) {}
 
-  void Start(ReduceContext<uint64_t, HwMsg>& ctx) override {
-    auto blob = ctx.LoadState();
-    WAVEMR_CHECK(blob.ok()) << "round-3 reducer missing coordinator state";
-    state_ = CoordState::Deserialize(*blob);
-  }
-
-  void Absorb(const uint64_t& index, const HwMsg& msg,
-              ReduceContext<uint64_t, HwMsg>& ctx) override {
-    (void)ctx;
-    auto it = state_.items.find(index);
-    if (it == state_.items.end()) return;  // not a candidate
-    if (!it->second.from[msg.split]) {
-      it->second.partial += msg.value;
-      it->second.from[msg.split] = true;
-    }
-  }
+  void Start(ReduceContext<uint64_t, HwMsg>& ctx) override { Load(ctx); }
 
   void Finish(ReduceContext<uint64_t, HwMsg>& ctx) override {
+    Fold(/*open_rows=*/false);  // only candidates in R are completed
     std::vector<WCoeff> finals;
-    finals.reserve(state_.items.size());
-    for (const auto& [index, item] : state_.items) {
-      finals.push_back({index, item.partial});
+    finals.reserve(state_.size());
+    for (size_t row = 0; row < state_.size(); ++row) {
+      finals.push_back({state_.index[row], state_.partial[row]});
     }
     ctx.ChargeCpuNs(static_cast<double>(finals.size()) * kTopKSelectNs);
     result_ = TopKByMagnitude(std::move(finals), k_);
@@ -430,7 +469,6 @@ class Round3Reducer : public Reducer<uint64_t, HwMsg> {
 
  private:
   size_t k_;
-  CoordState state_;
   std::vector<WCoeff> result_;
 };
 
@@ -461,9 +499,8 @@ StatusOr<BuildResult> HWTopk::Build(const Dataset& dataset,
     };
     plan.reducer = &r1;
     plan.wire_bytes = wire;
-    // All three rounds use Hadoop's sorted delivery: messages for one
-    // coefficient index arrive grouped (splits in ascending order within a
-    // group), which is the access pattern the coordinator state wants.
+    // All three rounds use Hadoop's sorted delivery. The coordinator sorts
+    // what it receives itself, so its result does not depend on it.
     plan.sorted_shuffle = true;
     RunRound(plan, dataset, &env);
   }

@@ -43,10 +43,12 @@ struct BuildOptions {
 
   /// Force Hadoop's sorted reducer delivery on every round, including the
   /// rounds that default to streaming delivery (Send-V, the samplers,
-  /// Send-Sketch). Changes the order pairs reach the reducer -- so results
-  /// may differ from the streaming default -- but stays deterministic, and
-  /// routes every algorithm through the retained-run/spill path (the
-  /// spill-stress CI lane uses it to exercise external spills everywhere).
+  /// Send-Sketch). Both modes hand each key's values to the reducer in
+  /// split order, so the synopsis, communication and simulated seconds are
+  /// bit-identical to the default (ParallelDeterminismDeliveryTest); only
+  /// the path changes: every algorithm goes through the retained-run/spill
+  /// plane (the spill-stress CI lane uses it to exercise external spills
+  /// everywhere).
   bool force_sorted_shuffle = false;
 
   /// GCS configuration for Send-Sketch (total_bytes 0 = paper's rule).

@@ -9,6 +9,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,7 +27,6 @@
 #include "mapreduce/shuffle.h"
 #include "mapreduce/spill.h"
 #include "mapreduce/split_access.h"
-#include "mapreduce/state_store.h"
 #include "mapreduce/stats.h"
 
 namespace wavemr {
@@ -42,8 +42,14 @@ struct MrEnv {
   CostModel cost_model;
   JobConfig config;
   DistributedCache cache;
-  StateStore state;
   JobStats stats;
+
+  /// Per-split state across rounds: the paper's state file named after the
+  /// split id (App. A), charged as local disk IO. RunRound sizes the slots
+  /// before any task starts and a task touches only its own, so no lock
+  /// guards them. A load moves the blob out of its slot; a save moves it in.
+  std::vector<std::optional<std::string>> split_state;
+  std::optional<std::string> coordinator_state;  // on the reducer machine
 
   /// Map tasks per round to execute concurrently: 1 = serial (the default),
   /// 0 = ThreadPool::DefaultThreadCount(), N > 1 = a pool of N workers. Any
@@ -83,6 +89,17 @@ struct MrEnv {
 };
 
 namespace internal {
+
+/// Moves the blob out of a state slot and empties it, so a state is read at
+/// most once per round; charges its size as local disk IO.
+inline StatusOr<std::string> TakeState(std::optional<std::string>& slot,
+                                       TaskCost* cost) {
+  if (!slot) return Status::NotFound("state was not saved");
+  std::string blob = std::move(*slot);
+  slot.reset();
+  cost->disk_bytes += blob.size();
+  return blob;
+}
 
 /// Emit sink that appends pairs verbatim to the task's columnar run, in
 /// emit order (no combiner).
@@ -319,17 +336,15 @@ class MapContext {
   const CostModel& cost_model() const { return env_->cost_model; }
 
   /// Persistent state for this split across rounds (the paper's per-split
-  /// HDFS state file written from Close). Charged as local disk IO.
+  /// HDFS state file written from Close). Charged as local disk IO. A load
+  /// moves the blob out: a second load in the same round is NotFound.
   void SaveState(std::string blob) {
     cost_->disk_bytes += blob.size();
-    WAVEMR_CHECK(env_->state.Put(StateKey(), std::move(blob)).ok());
+    env_->split_state[split_id()] = std::move(blob);
   }
   StatusOr<std::string> LoadState() {
-    auto blob = env_->state.Get(StateKey());
-    if (blob.ok()) cost_->disk_bytes += blob->size();
-    return blob;
+    return internal::TakeState(env_->split_state[split_id()], cost_);
   }
-  bool HasState() const { return env_->state.Contains(StateKey()); }
 
   /// Folds the locally counted emits into the task Counters; called once by
   /// the engine after Mapper::Run returns.
@@ -339,10 +354,6 @@ class MapContext {
   }
 
  private:
-  std::string StateKey() const {
-    return "split-" + std::to_string(input_->split_id());
-  }
-
   SplitAccess* input_;
   MrEnv* env_;
   TaskCost* cost_;
@@ -404,15 +415,14 @@ class ReduceContext {
     env_->cache.Put(name, std::move(blob));
   }
 
-  /// Coordinator state persisted on the reducer's machine across rounds.
+  /// Coordinator state persisted on the reducer's machine across rounds,
+  /// moved like a split's state.
   void SaveState(std::string blob) {
     cost_->disk_bytes += blob.size();
-    WAVEMR_CHECK(env_->state.Put("coordinator", std::move(blob)).ok());
+    env_->coordinator_state = std::move(blob);
   }
   StatusOr<std::string> LoadState() {
-    auto blob = env_->state.Get("coordinator");
-    if (blob.ok()) cost_->disk_bytes += blob->size();
-    return blob;
+    return internal::TakeState(env_->coordinator_state, cost_);
   }
 
  private:
@@ -487,6 +497,8 @@ RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* 
   WAVEMR_CHECK(plan.reducer != nullptr);
 
   const uint64_t num_splits = dataset.info().num_splits;
+  // Every split's state slot exists before any task can touch its own.
+  env->split_state.resize(num_splits);
 
   RoundStats round;
   round.name = plan.name;
@@ -533,10 +545,10 @@ RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* 
   using TaskOutput = internal::MapTaskOutput<K2, V2>;
 
   // Runs one map task end to end; called on a worker thread (or inline when
-  // serial). Touches only the task's own output, the immutable dataset, and
-  // the thread-safe MrEnv channels (config/cache/state). Under a sorted
-  // shuffle the run sort happens here too -- on the already-parallel map
-  // side, off the serial driver path.
+  // serial). Touches only the task's own output and state slot, the
+  // immutable dataset, and the read-only MrEnv channels (config/cache).
+  // Under a sorted shuffle the run sort happens here too -- on the
+  // already-parallel map side, off the serial driver path.
   auto run_map_task = [&plan, &dataset, env](uint64_t split) {
     TaskOutput out;
     SplitAccess access(dataset, split, env->cost_model, &out.cost);

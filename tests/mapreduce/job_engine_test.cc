@@ -201,12 +201,17 @@ TEST(JobEngineTest, BroadcastBytesChargeCacheOnce) {
   EXPECT_EQ(round3.broadcast_bytes, 40 * slaves);
 }
 
-// State round-trip: mapper saves in round 1, loads in round 2.
+// State round-trip: round 1 finds no state, then saves; round 2 loads it
+// back. A load moves the blob out of the split's slot, so a second load in
+// the same round finds nothing.
+std::string StateOf(uint64_t split) { return "state-of-" + std::to_string(split); }
+
 class SaveMapper : public MapperBase<SaveMapper, uint64_t, uint64_t> {
  public:
   template <typename Ctx>
   void RunImpl(Ctx& ctx) {
-    ctx.SaveState("state-of-" + std::to_string(ctx.split_id()));
+    EXPECT_EQ(ctx.LoadState().status().code(), StatusCode::kNotFound);
+    ctx.SaveState(StateOf(ctx.split_id()));
   }
 };
 
@@ -216,15 +221,29 @@ class LoadMapper : public MapperBase<LoadMapper, uint64_t, uint64_t> {
   void RunImpl(Ctx& ctx) {
     auto blob = ctx.LoadState();
     ASSERT_TRUE(blob.ok());
-    EXPECT_EQ(*blob, "state-of-" + std::to_string(ctx.split_id()));
+    EXPECT_EQ(*blob, StateOf(ctx.split_id()));
+    EXPECT_EQ(ctx.LoadState().status().code(), StatusCode::kNotFound);
     ctx.Emit(ctx.split_id(), 1);
+  }
+};
+
+// Saves a blob of kBlobBytes and loads it back in the same task.
+constexpr size_t kBlobBytes = 1000;
+class SaveLoadMapper : public MapperBase<SaveLoadMapper, uint64_t, uint64_t> {
+ public:
+  template <typename Ctx>
+  void RunImpl(Ctx& ctx) {
+    ctx.SaveState(std::string(kBlobBytes, 's'));
+    auto blob = ctx.LoadState();
+    ASSERT_TRUE(blob.ok());
+    EXPECT_EQ(blob->size(), kBlobBytes);
   }
 };
 
 TEST(JobEngineTest, SplitStatePersistsAcrossRounds) {
   InMemoryDataset ds = TinyDataset();
   MrEnv env;
-  CountReducer r1, r2;
+  CountReducer r1, r2, r3;
   JobPlan<uint64_t, uint64_t> save;
   save.name = "save";
   save.mapper_factory = [](uint64_t) { return std::make_unique<SaveMapper>(); };
@@ -238,6 +257,21 @@ TEST(JobEngineTest, SplitStatePersistsAcrossRounds) {
   RoundStats round = RunRound(load, ds, &env);
   EXPECT_EQ(round.shuffle_pairs, 3u);  // one per split; all states found
   EXPECT_EQ(env.stats.NumRounds(), 2u);
+
+  // State is charged as local disk IO on both sides: with one slot per
+  // split, no task overhead and 1 MB/s disks, the makespan is one task's
+  // save + load, 2 x kBlobBytes.
+  env.cluster = ClusterSpec::Uniform(1, 1.0, /*map_slots=*/3);
+  env.cost_model.task_overhead_s = 0.0;
+  env.cost_model.disk_mbps = 1.0;
+  JobPlan<uint64_t, uint64_t> save_load;
+  save_load.name = "save-load";
+  save_load.mapper_factory = [](uint64_t) {
+    return std::make_unique<SaveLoadMapper>();
+  };
+  save_load.reducer = &r3;
+  round = RunRound(save_load, ds, &env);
+  EXPECT_EQ(round.map_makespan_s, env.cost_model.DiskSeconds(2 * kBlobBytes));
 }
 
 TEST(JobEngineTest, ParallelRoundMatchesSerial) {

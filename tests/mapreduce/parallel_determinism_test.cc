@@ -211,6 +211,50 @@ std::vector<Case> ForcedSortedCases() {
 INSTANTIATE_TEST_SUITE_P(ForcedSorted, ParallelDeterminismTest,
                          testing::ValuesIn(ForcedSortedCases()), CaseName);
 
+// Delivery mode: sorted delivery hands each key's values to the reducer in
+// the same split order as streaming delivery, and no reducer depends on the
+// order across keys. So for every algorithm, serial and threaded, forcing
+// sorted delivery must give the default delivery's synopsis bit for bit,
+// with the same communication and simulated time. (Send-Coef and H-WTopk
+// sort in both modes; their cases pin that forcing changes nothing.)
+class ParallelDeterminismDeliveryTest : public testing::TestWithParam<Case> {};
+
+TEST_P(ParallelDeterminismDeliveryTest, SortedMatchesDefaultDelivery) {
+  const Case param = GetParam();
+  ZipfDataset ds = TestDataset();
+  BuildResult by_default = BuildWith(ds, param.kind, param.threads);
+  BuildResult sorted = BuildWith(ds, param.kind, param.threads,
+                                 /*reduce_tasks=*/0, /*shuffle_buffer_bytes=*/0,
+                                 /*force_sorted_shuffle=*/true);
+
+  const auto& want = by_default.histogram.coefficients();
+  const auto& got = sorted.histogram.coefficients();
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].index, got[i].index) << "coefficient " << i;
+    EXPECT_EQ(want[i].value, got[i].value) << "coefficient " << i;
+  }
+  ASSERT_EQ(by_default.stats.NumRounds(), sorted.stats.NumRounds());
+  for (size_t r = 0; r < by_default.stats.rounds.size(); ++r) {
+    const RoundStats& a = by_default.stats.rounds[r];
+    const RoundStats& b = sorted.stats.rounds[r];
+    EXPECT_EQ(a.shuffle_pairs, b.shuffle_pairs) << "round " << r;
+    EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes) << "round " << r;
+    EXPECT_EQ(a.TotalSeconds(), b.TotalSeconds()) << "round " << r;
+  }
+}
+
+std::vector<Case> DeliveryCases() {
+  std::vector<Case> cases;
+  for (AlgorithmKind kind : AllKinds()) {
+    for (int threads : {1, 4}) cases.push_back(Case{kind, threads});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ParallelDeterminismDeliveryTest,
+                         testing::ValuesIn(DeliveryCases()), CaseName);
+
 // Sorted-shuffle algorithms under a forced-tiny buffer must actually hit
 // the external path (the determinism suite above would pass vacuously if
 // spilling never engaged).
