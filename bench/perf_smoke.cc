@@ -114,8 +114,9 @@ int Main(int argc, char** argv) {
   BenchDefaults d = BenchDefaults::FromEnv();
   ZipfDataset ds(d.ZipfOptions());
 
-  // One algorithm per layer, plus both sorted-shuffle users (H-WTopk and
-  // Send-Coef) so the columnar merge path is always under the wall gates.
+  // One algorithm per layer, plus both exact coefficient shippers (H-WTopk
+  // and Send-Coef). Every round streams by default, so the sorted merge path
+  // is gated by the kernel and skew-reduce cases below.
   const std::vector<AlgorithmKind> kinds = {
       AlgorithmKind::kSendV, AlgorithmKind::kSendCoef, AlgorithmKind::kHWTopk,
       AlgorithmKind::kTwoLevelS, AlgorithmKind::kSendSketch};

@@ -178,11 +178,7 @@ class TwoLevelReducer : public Reducer<uint64_t, TwoLevelMsg> {
 StatusOr<BuildResult> BasicSampling::Build(const Dataset& dataset,
                                            const BuildOptions& options) {
   MrEnv env;
-  env.cluster = options.cluster;
-  env.cost_model = options.cost_model;
-  env.io = options.io;
-  env.threads = options.threads;
-  env.reduce_tasks = options.reduce_tasks;
+  ConfigureMrEnv(options, &env);
   const double p = LevelOneProbability(options.epsilon, dataset.info().num_records);
 
   BasicReducer reducer(dataset.info().domain_size, options.k, p);
@@ -195,7 +191,6 @@ StatusOr<BuildResult> BasicSampling::Build(const Dataset& dataset,
   plan.wire_bytes = [](const uint64_t*, const uint64_t*, size_t n) {
     return n * kKeyCountBytes;
   };
-  plan.sorted_shuffle = options.force_sorted_shuffle;
   RunRound(plan, dataset, &env);
 
   BuildResult result;
@@ -207,11 +202,7 @@ StatusOr<BuildResult> BasicSampling::Build(const Dataset& dataset,
 StatusOr<BuildResult> ImprovedSampling::Build(const Dataset& dataset,
                                               const BuildOptions& options) {
   MrEnv env;
-  env.cluster = options.cluster;
-  env.cost_model = options.cost_model;
-  env.io = options.io;
-  env.threads = options.threads;
-  env.reduce_tasks = options.reduce_tasks;
+  ConfigureMrEnv(options, &env);
   const double p = LevelOneProbability(options.epsilon, dataset.info().num_records);
 
   // Improved-S reuses Basic-S's reducer: sum received counts, scale by 1/p.
@@ -226,7 +217,6 @@ StatusOr<BuildResult> ImprovedSampling::Build(const Dataset& dataset,
   plan.wire_bytes = [](const uint64_t*, const uint64_t*, size_t n) {
     return n * kKeyCountBytes;
   };
-  plan.sorted_shuffle = options.force_sorted_shuffle;
   RunRound(plan, dataset, &env);
 
   BuildResult result;
@@ -238,11 +228,7 @@ StatusOr<BuildResult> ImprovedSampling::Build(const Dataset& dataset,
 StatusOr<BuildResult> TwoLevelSampling::Build(const Dataset& dataset,
                                               const BuildOptions& options) {
   MrEnv env;
-  env.cluster = options.cluster;
-  env.cost_model = options.cost_model;
-  env.io = options.io;
-  env.threads = options.threads;
-  env.reduce_tasks = options.reduce_tasks;
+  ConfigureMrEnv(options, &env);
   const uint64_t m = dataset.info().num_splits;
   const double p = LevelOneProbability(options.epsilon, dataset.info().num_records);
 
@@ -265,7 +251,6 @@ StatusOr<BuildResult> TwoLevelSampling::Build(const Dataset& dataset,
     }
     return bytes;
   };
-  plan.sorted_shuffle = options.force_sorted_shuffle;
   RunRound(plan, dataset, &env);
 
   BuildResult result;

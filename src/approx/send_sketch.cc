@@ -127,11 +127,7 @@ class SketchReducer : public Reducer<uint64_t, double> {
 StatusOr<BuildResult> SendSketch::Build(const Dataset& dataset,
                                         const BuildOptions& options) {
   MrEnv env;
-  env.cluster = options.cluster;
-  env.cost_model = options.cost_model;
-  env.io = options.io;
-  env.threads = options.threads;
-  env.reduce_tasks = options.reduce_tasks;
+  ConfigureMrEnv(options, &env);
 
   const uint64_t u = dataset.info().domain_size;
   // All mappers and the reducer must draw identical hash functions; derive
@@ -149,7 +145,6 @@ StatusOr<BuildResult> SendSketch::Build(const Dataset& dataset,
   plan.wire_bytes = [](const uint64_t*, const double*, size_t n) {
     return n * kPairBytes;
   };
-  plan.sorted_shuffle = options.force_sorted_shuffle;
   RunRound(plan, dataset, &env);
 
   BuildResult result;

@@ -30,11 +30,6 @@ constexpr uint64_t kPrime = PolyHash::kPrime;
 // same arithmetic the rest of the engine uses.
 // ===========================================================================
 
-void MulMod61X4Scalar(const uint64_t a[4], const uint64_t b[4],
-                      uint64_t out[4]) {
-  for (int l = 0; l < 4; ++l) out[l] = MulMod61(a[l], b[l]);
-}
-
 void Hash2X4Scalar(const uint64_t c0[4], const uint64_t c1[4],
                    const uint64_t x[4], uint64_t out[4]) {
   for (int l = 0; l < 4; ++l) {
@@ -49,18 +44,6 @@ void Hash4X4Scalar(const uint64_t c0[4], const uint64_t c1[4],
   for (int l = 0; l < 4; ++l) {
     const uint64_t c[4] = {c0[l], c1[l], c2[l], c3[l]};
     out[l] = PolyHash4(c, x[l]);
-  }
-}
-
-void GcsSubSignX4Scalar(const uint64_t ci[2], const uint64_t cs[4],
-                        const uint64_t items[4], uint64_t subbuckets,
-                        uint64_t sub_mask, uint32_t out[4]) {
-  for (int l = 0; l < 4; ++l) {
-    const uint64_t ir = items[l] % kPrime;
-    const uint64_t ih = PolyHash2(ci, ir);
-    const uint64_t sub = sub_mask != 0 ? (ih & sub_mask) : (ih % subbuckets);
-    const bool positive = (PolyHash4(cs, ir) & 1) != 0;
-    out[l] = static_cast<uint32_t>(sub) | (positive ? 0x80000000u : 0u);
   }
 }
 
@@ -105,9 +88,8 @@ double SumSquaresScalar(const double* v, size_t n) {
 }
 
 constexpr SimdKernels kScalarTable = {
-    SimdTier::kScalar,    MulMod61X4Scalar,     Hash2X4Scalar,
-    Hash4X4Scalar,        GcsSubSignX4Scalar,   GcsSubSignBlockScalar,
-    HaarButterflyScalar,  SumSquaresScalar,
+    SimdTier::kScalar, Hash2X4Scalar, Hash4X4Scalar, GcsSubSignBlockScalar,
+    HaarButterflyScalar, SumSquaresScalar,
 };
 
 // ===========================================================================
@@ -163,14 +145,6 @@ __attribute__((target("avx2"))) inline __m256i Mod61CondSubAvx2(__m256i acc) {
   return _mm256_sub_epi64(acc, _mm256_and_si256(ge, prime));
 }
 
-/// x mod p for arbitrary uint64 lanes: fold the top 3 bits down (2^61 = 1).
-__attribute__((target("avx2"))) inline __m256i Mod61FoldAvx2(__m256i x) {
-  const __m256i prime = _mm256_set1_epi64x(static_cast<long long>(kPrime));
-  const __m256i folded = _mm256_add_epi64(_mm256_and_si256(x, prime),
-                                          _mm256_srli_epi64(x, 61));
-  return Mod61CondSubAvx2(folded);
-}
-
 __attribute__((target("avx2"))) inline __m256i Hash2Avx2(__m256i c0,
                                                          __m256i c1,
                                                          __m256i x) {
@@ -224,16 +198,6 @@ __attribute__((target("avx2"))) inline __m256i Hash4Avx2(__m256i c0,
   return Mod61CondSubAvx2(_mm256_add_epi64(MulMod61Avx2(acc, x), c0));
 }
 
-__attribute__((target("avx2"))) void MulMod61X4Avx2(const uint64_t a[4],
-                                                    const uint64_t b[4],
-                                                    uint64_t out[4]) {
-  const __m256i av =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a));
-  const __m256i bv =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), MulMod61Avx2(av, bv));
-}
-
 __attribute__((target("avx2"))) void Hash2X4Avx2(const uint64_t c0[4],
                                                  const uint64_t c1[4],
                                                  const uint64_t x[4],
@@ -264,37 +228,6 @@ __attribute__((target("avx2"))) void Hash4X4Avx2(const uint64_t c0[4],
   const __m256i xv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x));
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
                       Hash4Avx2(c0v, c1v, c2v, c3v, xv));
-}
-
-__attribute__((target("avx2"))) void GcsSubSignX4Avx2(
-    const uint64_t ci[2], const uint64_t cs[4], const uint64_t items[4],
-    uint64_t subbuckets, uint64_t sub_mask, uint32_t out[4]) {
-  const __m256i ir = Mod61FoldAvx2(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(items)));
-  const __m256i ih =
-      Hash2Avx2(_mm256_set1_epi64x(static_cast<long long>(ci[0])),
-                _mm256_set1_epi64x(static_cast<long long>(ci[1])), ir);
-  const __m256i sh =
-      Hash4Avx2(_mm256_set1_epi64x(static_cast<long long>(cs[0])),
-                _mm256_set1_epi64x(static_cast<long long>(cs[1])),
-                _mm256_set1_epi64x(static_cast<long long>(cs[2])),
-                _mm256_set1_epi64x(static_cast<long long>(cs[3])), ir);
-  alignas(32) uint64_t subs[4];
-  alignas(32) uint64_t signs[4];
-  if (sub_mask != 0) {
-    _mm256_store_si256(
-        reinterpret_cast<__m256i*>(subs),
-        _mm256_and_si256(ih,
-                         _mm256_set1_epi64x(static_cast<long long>(sub_mask))));
-  } else {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(subs), ih);
-    for (int l = 0; l < 4; ++l) subs[l] %= subbuckets;
-  }
-  _mm256_store_si256(reinterpret_cast<__m256i*>(signs), sh);
-  for (int l = 0; l < 4; ++l) {
-    out[l] = static_cast<uint32_t>(subs[l]) |
-             ((signs[l] & 1) != 0 ? 0x80000000u : 0u);
-  }
 }
 
 /// Both GCS hashes of one lane group, through the lazily-reduced Horner
@@ -449,9 +382,8 @@ __attribute__((target("avx2"))) double SumSquaresAvx2(const double* v,
 }
 
 const SimdKernels kAvx2Table = {
-    SimdTier::kAvx2,    MulMod61X4Avx2,     Hash2X4Avx2,
-    Hash4X4Avx2,        GcsSubSignX4Avx2,   GcsSubSignBlockAvx2,
-    HaarButterflyAvx2,  SumSquaresAvx2,
+    SimdTier::kAvx2, Hash2X4Avx2, Hash4X4Avx2, GcsSubSignBlockAvx2,
+    HaarButterflyAvx2, SumSquaresAvx2,
 };
 
 #endif  // WAVEMR_SIMD_X86
@@ -512,12 +444,6 @@ inline uint64x2_t Hash4Neon(uint64x2_t c0, uint64x2_t c1, uint64x2_t c2,
   return Mod61CondSubNeon(vaddq_u64(MulMod61Neon(acc, x), c0));
 }
 
-void MulMod61X4Neon(const uint64_t a[4], const uint64_t b[4],
-                    uint64_t out[4]) {
-  vst1q_u64(out, MulMod61Neon(vld1q_u64(a), vld1q_u64(b)));
-  vst1q_u64(out + 2, MulMod61Neon(vld1q_u64(a + 2), vld1q_u64(b + 2)));
-}
-
 void Hash2X4Neon(const uint64_t c0[4], const uint64_t c1[4],
                  const uint64_t x[4], uint64_t out[4]) {
   vst1q_u64(out, Hash2Neon(vld1q_u64(c0), vld1q_u64(c1), vld1q_u64(x)));
@@ -533,32 +459,6 @@ void Hash4X4Neon(const uint64_t c0[4], const uint64_t c1[4],
   vst1q_u64(out + 2,
             Hash4Neon(vld1q_u64(c0 + 2), vld1q_u64(c1 + 2), vld1q_u64(c2 + 2),
                       vld1q_u64(c3 + 2), vld1q_u64(x + 2)));
-}
-
-void GcsSubSignX4Neon(const uint64_t ci[2], const uint64_t cs[4],
-                      const uint64_t items[4], uint64_t subbuckets,
-                      uint64_t sub_mask, uint32_t out[4]) {
-  const uint64x2_t ci0 = vdupq_n_u64(ci[0]);
-  const uint64x2_t ci1 = vdupq_n_u64(ci[1]);
-  const uint64x2_t cs0 = vdupq_n_u64(cs[0]);
-  const uint64x2_t cs1 = vdupq_n_u64(cs[1]);
-  const uint64x2_t cs2 = vdupq_n_u64(cs[2]);
-  const uint64x2_t cs3 = vdupq_n_u64(cs[3]);
-  uint64_t subs[4];
-  uint64_t signs[4];
-  for (int h = 0; h < 2; ++h) {
-    const uint64x2_t ir = Mod61FoldNeon(vld1q_u64(items + 2 * h));
-    uint64x2_t ih = Hash2Neon(ci0, ci1, ir);
-    const uint64x2_t sh = Hash4Neon(cs0, cs1, cs2, cs3, ir);
-    if (sub_mask != 0) ih = vandq_u64(ih, vdupq_n_u64(sub_mask));
-    vst1q_u64(subs + 2 * h, ih);
-    vst1q_u64(signs + 2 * h, sh);
-  }
-  for (int l = 0; l < 4; ++l) {
-    const uint64_t sub = sub_mask != 0 ? subs[l] : subs[l] % subbuckets;
-    out[l] = static_cast<uint32_t>(sub) |
-             ((signs[l] & 1) != 0 ? 0x80000000u : 0u);
-  }
 }
 
 void GcsSubSignBlockNeon(const uint64_t ci[2], const uint64_t cs[4],
@@ -630,9 +530,8 @@ double SumSquaresNeon(const double* v, size_t n) {
 }
 
 const SimdKernels kNeonTable = {
-    SimdTier::kNeon,    MulMod61X4Neon,     Hash2X4Neon,
-    Hash4X4Neon,        GcsSubSignX4Neon,   GcsSubSignBlockNeon,
-    HaarButterflyNeon,  SumSquaresNeon,
+    SimdTier::kNeon, Hash2X4Neon, Hash4X4Neon, GcsSubSignBlockNeon,
+    HaarButterflyNeon, SumSquaresNeon,
 };
 
 #endif  // WAVEMR_SIMD_NEON

@@ -32,10 +32,6 @@ struct SimdKernels {
   // All inputs must be < 2^61; outputs are the canonical residue mod
   // 2^61 - 1, bit-identical to core/hash.h MulMod61 / PolyHash::Hash.
 
-  /// out[l] = a[l] * b[l] mod (2^61 - 1).
-  void (*mulmod61_x4)(const uint64_t a[4], const uint64_t b[4],
-                      uint64_t out[4]);
-
   /// Degree-2 polynomial per lane: out[l] = (c1[l]*x[l] + c0[l]) mod p,
   /// Horner order matching PolyHash::Hash.
   void (*hash2_x4)(const uint64_t c0[4], const uint64_t c1[4],
@@ -47,24 +43,17 @@ struct SimdKernels {
                    const uint64_t c2[4], const uint64_t c3[4],
                    const uint64_t x[4], uint64_t out[4]);
 
-  /// GCS per-item hash for one repetition: for 4 items with broadcast
-  /// coefficients, out[l] = sub | (sign << 31) where
-  ///   sub  = Hash2(ci, items[l] % p) & sub_mask     (sub_mask != 0), or
-  ///          Hash2(ci, items[l] % p) % subbuckets   (sub_mask == 0)
-  ///   sign = Hash4(cs, items[l] % p) & 1.
+  /// GCS per-item hash for one repetition, for items[i], i in [0, n), with
+  /// broadcast coefficients: out[i] = sub | (sign << 31) where
+  ///   sub  = Hash2(ci, items[i] % p) & sub_mask     (sub_mask != 0), or
+  ///          Hash2(ci, items[i] % p) % subbuckets   (sub_mask == 0)
+  ///   sign = Hash4(cs, items[i] % p) & 1.
   /// This is the packed slot GroupCountSketch::UpdateBatchSimd resolves
   /// before its add pass; callers must ensure subbuckets <= 2^30 so sub
-  /// fits in 31 bits.
-  void (*gcs_sub_sign_x4)(const uint64_t ci[2], const uint64_t cs[4],
-                          const uint64_t items[4], uint64_t subbuckets,
-                          uint64_t sub_mask, uint32_t out[4]);
-
-  /// Block form of gcs_sub_sign_x4: out[i] for i in [0, n), any n. Exists so
-  /// the update loop pays one indirect call per (block, repetition) instead
-  /// of one per 4 items -- at 4-lane granularity the call overhead eats the
-  /// vector win. Same packed-slot contract; vector tiers run whole lane
-  /// groups and finish the tail scalar (exact integers, so the seam is
-  /// invisible).
+  /// fits in 31 bits. The update loop pays one indirect call per (block,
+  /// repetition) -- at 4-lane granularity the call overhead eats the vector
+  /// win. Vector tiers run whole lane groups and finish the tail scalar
+  /// (exact integers, so the seam is invisible).
   void (*gcs_sub_sign_block)(const uint64_t ci[2], const uint64_t cs[4],
                              const uint64_t* items, size_t n,
                              uint64_t subbuckets, uint64_t sub_mask,

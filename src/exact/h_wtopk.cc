@@ -477,11 +477,7 @@ class Round3Reducer : public CoordReducer {
 StatusOr<BuildResult> HWTopk::Build(const Dataset& dataset,
                                     const BuildOptions& options) {
   MrEnv env;
-  env.cluster = options.cluster;
-  env.cost_model = options.cost_model;
-  env.io = options.io;
-  env.threads = options.threads;
-  env.reduce_tasks = options.reduce_tasks;
+  ConfigureMrEnv(options, &env);
 
   const uint64_t m = dataset.info().num_splits;
   if (dataset.info().domain_size > (uint64_t{1} << 32)) {
@@ -499,9 +495,6 @@ StatusOr<BuildResult> HWTopk::Build(const Dataset& dataset,
     };
     plan.reducer = &r1;
     plan.wire_bytes = wire;
-    // All three rounds use Hadoop's sorted delivery. The coordinator sorts
-    // what it receives itself, so its result does not depend on it.
-    plan.sorted_shuffle = true;
     RunRound(plan, dataset, &env);
   }
 
@@ -518,7 +511,6 @@ StatusOr<BuildResult> HWTopk::Build(const Dataset& dataset,
     };
     plan.reducer = &r2;
     plan.wire_bytes = wire;
-    plan.sorted_shuffle = true;
     RunRound(plan, dataset, &env);
   }
 
@@ -532,7 +524,6 @@ StatusOr<BuildResult> HWTopk::Build(const Dataset& dataset,
     };
     plan.reducer = &r3;
     plan.wire_bytes = wire;
-    plan.sorted_shuffle = true;
     RunRound(plan, dataset, &env);
   }
 

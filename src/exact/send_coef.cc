@@ -77,11 +77,7 @@ class SendCoefReducer : public Reducer<uint64_t, double> {
 StatusOr<BuildResult> SendCoef::Build(const Dataset& dataset,
                                       const BuildOptions& options) {
   MrEnv env;
-  env.cluster = options.cluster;
-  env.cost_model = options.cost_model;
-  env.io = options.io;
-  env.threads = options.threads;
-  env.reduce_tasks = options.reduce_tasks;
+  ConfigureMrEnv(options, &env);
 
   SendCoefReducer reducer(options.k);
 
@@ -94,9 +90,6 @@ StatusOr<BuildResult> SendCoef::Build(const Dataset& dataset,
   plan.wire_bytes = [](const uint64_t*, const double*, size_t n) {
     return n * kPairBytes;
   };
-  // Hadoop's reducer contract: coefficient partials arrive grouped and
-  // sorted by index; each map task sorts its run on its worker thread.
-  plan.sorted_shuffle = true;
 
   RunRound(plan, dataset, &env);
 

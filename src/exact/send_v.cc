@@ -82,11 +82,7 @@ class SendVReducer : public Reducer<uint64_t, uint64_t> {
 
 StatusOr<BuildResult> SendV::Build(const Dataset& dataset, const BuildOptions& options) {
   MrEnv env;
-  env.cluster = options.cluster;
-  env.cost_model = options.cost_model;
-  env.io = options.io;
-  env.threads = options.threads;
-  env.reduce_tasks = options.reduce_tasks;
+  ConfigureMrEnv(options, &env);
 
   SendVReducer reducer(options);
   reducer.set_domain(dataset.info().domain_size);
@@ -103,7 +99,6 @@ StatusOr<BuildResult> SendV::Build(const Dataset& dataset, const BuildOptions& o
   if (options.send_v_emit_per_record && !options.send_v_disable_combiner) {
     plan.combiner = [](const uint64_t& a, const uint64_t& b) { return a + b; };
   }
-  plan.sorted_shuffle = options.force_sorted_shuffle;
 
   RunRound(plan, dataset, &env);
 

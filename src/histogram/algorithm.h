@@ -16,6 +16,7 @@
 namespace wavemr {
 
 class HistogramSnapshot;  // serve/snapshot.h; definition lives in the serve layer
+struct MrEnv;              // mapreduce/job.h
 
 /// Knobs shared by every histogram-construction algorithm. Defaults mirror
 /// the paper's defaults (k=30, epsilon scaled to the dataset, the 16-machine
@@ -41,14 +42,12 @@ struct BuildOptions {
   /// results for every value, like threads.
   int reduce_tasks = 0;
 
-  /// Force Hadoop's sorted reducer delivery on every round, including the
-  /// rounds that default to streaming delivery (Send-V, the samplers,
-  /// Send-Sketch). Both modes hand each key's values to the reducer in
+  /// Hadoop's sorted reducer delivery on every round; by default every
+  /// round streams. Both modes hand each key's values to the reducer in
   /// split order, so the synopsis, communication and simulated seconds are
   /// bit-identical to the default (ParallelDeterminismDeliveryTest); only
-  /// the path changes: every algorithm goes through the retained-run/spill
-  /// plane (the spill-stress CI lane uses it to exercise external spills
-  /// everywhere).
+  /// the path changes: every round goes through the retained-run/spill
+  /// plane (the spill-stress CI lane uses it to exercise external spills).
   bool force_sorted_shuffle = false;
 
   /// GCS configuration for Send-Sketch (total_bytes 0 = paper's rule).
@@ -80,6 +79,11 @@ struct BuildOptions {
   /// assembling options by hand (CLIs, benches) need no checks of their own.
   Status Validate() const;
 };
+
+/// Fills the engine settings of a fresh `env` from `options`: cluster, cost
+/// model, spill I/O, threads, reduce tasks and delivery mode. Every
+/// algorithm's Build calls it once, before its first round.
+void ConfigureMrEnv(const BuildOptions& options, MrEnv* env);
 
 /// What every algorithm returns: the k-term synopsis plus the measured
 /// communication and simulated running time.

@@ -1,7 +1,5 @@
 #include "histogram/builder.h"
 
-#include <cmath>
-
 #include "approx/samplers.h"
 #include "approx/send_sketch.h"
 #include "core/logging.h"
@@ -10,33 +8,6 @@
 #include "exact/send_v.h"
 
 namespace wavemr {
-
-Status BuildOptions::Validate() const {
-  // k == 0 is deliberately legal: it builds an empty synopsis (see the
-  // edge-case tests); k is unsigned so there is no negative case to reject.
-  if (!std::isfinite(epsilon) || epsilon <= 0.0) {
-    return Status::InvalidArgument(
-        "BuildOptions.epsilon must be a finite value > 0 (sampling rate is "
-        "1/(epsilon^2 n)); got " + std::to_string(epsilon));
-  }
-  if (threads < 0) {
-    return Status::InvalidArgument(
-        "BuildOptions.threads must be >= 0 (0 = one per hardware thread); "
-        "got " + std::to_string(threads));
-  }
-  if (reduce_tasks < 0) {
-    return Status::InvalidArgument(
-        "BuildOptions.reduce_tasks must be >= 0 (0 = match the map thread "
-        "count); got " + std::to_string(reduce_tasks));
-  }
-  if (io.shuffle_buffer_bytes == 0) {
-    return Status::InvalidArgument(
-        "BuildOptions.io.shuffle_buffer_bytes must be > 0 (the shuffle needs "
-        "at least one buffered run before spilling)");
-  }
-  WAVEMR_RETURN_IF_ERROR(io.Validate());
-  return Status::OK();
-}
 
 const char* AlgorithmName(AlgorithmKind kind) {
   switch (kind) {

@@ -63,6 +63,14 @@ struct MrEnv {
   /// exactly the full merge's stream); only wall-clock changes.
   int reduce_tasks = 0;
 
+  /// Deliver every round's pairs to the reducer grouped and sorted by key
+  /// (Hadoop's reducer contract): each map task sorts its own run on its
+  /// worker thread, and the driver merges the runs with a loser tree. Off,
+  /// pairs stream to the reducer in split-index order. Each key's values
+  /// arrive in split order either way, and no reducer depends on the order
+  /// across keys, so both modes give the same result bits.
+  bool sorted_shuffle = false;
+
   /// Temp directory for external shuffle spill files, lazily created on the
   /// first real spill and removed (recursively) when the env dies. Rounds
   /// delete their own files as they complete -- including on exceptions --
@@ -431,7 +439,7 @@ class ReduceContext {
 };
 
 /// The single reduce task, in streaming form: Start, one Absorb per
-/// intermediate pair, Finish. With JobPlan::sorted_shuffle the engine
+/// intermediate pair, Finish. With MrEnv::sorted_shuffle the engine
 /// delivers pairs grouped and sorted by key (Hadoop's semantics); otherwise
 /// pairs stream in split-index order. Start runs exactly once, before any
 /// map task, in both modes -- it may read prior-round state but never this
@@ -470,11 +478,6 @@ struct JobPlan {
   /// map task before the shuffle (Hadoop's Combiner). Shuffle bytes are
   /// counted after combining.
   std::function<V2(const V2&, const V2&)> combiner;
-
-  /// Deliver pairs to the reducer grouped and sorted by key (Hadoop's
-  /// reducer contract): each map task sorts its own run on its worker
-  /// thread and the driver merges the runs with a loser tree.
-  bool sorted_shuffle = false;
 };
 
 /// Executes one round over all splits of `dataset` and appends a RoundStats
@@ -483,20 +486,22 @@ struct JobPlan {
 ///
 /// Parallel execution: with env->threads != 1 map tasks run on a ThreadPool
 /// (env->threads == 0 means hardware concurrency). Each task emits into a
-/// private columnar ShuffleRun (sorted on the worker under sorted_shuffle);
-/// the driver hands runs to the ShufflePlane in split-index order, so
-/// shuffle accounting, counters, and reducer results are bit-identical for
-/// every thread count. Sorted rounds additionally plan env->reduce_tasks
-/// equi-depth global-rank ranges (0 = one per map thread), merge the stream
-/// in rank slices on the same pool, and spill retained runs past
-/// env->io.shuffle_buffer_bytes to env->spill_dir -- neither changes any
-/// result bit (see internal::DeliverSortedMerge and ShufflePlane).
+/// private columnar ShuffleRun (sorted on the worker under
+/// env->sorted_shuffle); the driver hands runs to the ShufflePlane in
+/// split-index order, so shuffle accounting, counters, and reducer results
+/// are bit-identical for every thread count. Sorted rounds additionally
+/// plan env->reduce_tasks equi-depth global-rank ranges (0 = one per map
+/// thread), merge the stream in rank slices on the same pool, and spill
+/// retained runs past env->io.shuffle_buffer_bytes to env->spill_dir --
+/// neither changes any result bit (see internal::DeliverSortedMerge and
+/// ShufflePlane).
 template <typename K2, typename V2>
 RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* env) {
   WAVEMR_CHECK(plan.mapper_factory != nullptr);
   WAVEMR_CHECK(plan.reducer != nullptr);
 
   const uint64_t num_splits = dataset.info().num_splits;
+  const bool sorted = env->sorted_shuffle;
   // Every split's state slot exists before any task can touch its own.
   env->split_state.resize(num_splits);
 
@@ -529,7 +534,7 @@ RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* 
   // free it); sorted planes retain the worker-sorted runs -- evicting the
   // largest ones to env->spill_dir when they outgrow the buffer budget --
   // for the loser-tree merge.
-  ShufflePlane<K2, V2> plane(wire, plan.sorted_shuffle,
+  ShufflePlane<K2, V2> plane(wire, sorted,
                              SpillPolicy{env->io.shuffle_buffer_bytes},
                              &env->spill_dir, env->io.retry);
   auto absorb = [&](const K2& k, const V2& v) {
@@ -549,7 +554,7 @@ RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* 
   // immutable dataset, and the read-only MrEnv channels (config/cache).
   // Under a sorted shuffle the run sort happens here too -- on the
   // already-parallel map side, off the serial driver path.
-  auto run_map_task = [&plan, &dataset, env](uint64_t split) {
+  auto run_map_task = [&plan, &dataset, env, sorted](uint64_t split) {
     TaskOutput out;
     SplitAccess access(dataset, split, env->cost_model, &out.cost);
     std::unique_ptr<Mapper<K2, V2>> mapper = plan.mapper_factory(split);
@@ -571,7 +576,7 @@ RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* 
       mapper->Run(ctx);
       ctx.FlushEmitCount();
     }
-    if (plan.sorted_shuffle) out.run.SortByKey();
+    if (sorted) out.run.SortByKey();
     return out;
   };
 
@@ -637,7 +642,7 @@ RoundStats RunRound(const JobPlan<K2, V2>& plan, const Dataset& dataset, MrEnv* 
                                                 map_start)
           .count();
 
-  if (plan.sorted_shuffle) {
+  if (sorted) {
     const int reduce_tasks =
         env->reduce_tasks > 0 ? env->reduce_tasks : round.threads_used;
     const auto reduce_start = std::chrono::steady_clock::now();

@@ -53,8 +53,14 @@ std::vector<WCoeff> SparseHaarSorted(SortedSparseVector v, uint64_t u) {
   double* sum = v.weights.data();  // subtree sum of node[i]
   const size_t end = v.keys.size();
   size_t begin = 0;
+  // Level j emits at most min(2^j, |v|) details, plus the average: reserving
+  // that bound means the output never reallocates.
+  size_t bound = 1;
+  for (uint32_t j = 0; j < Log2Floor(u); ++j) {
+    bound += std::min<uint64_t>(uint64_t{1} << j, end);
+  }
   std::vector<WCoeff> out;
-  out.reserve(2 * end + 1);
+  out.reserve(bound);
   // Walking every level from its highest node down, finest level first,
   // emits the coefficients in descending index order; one reverse at the end
   // gives index order.

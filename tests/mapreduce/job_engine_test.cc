@@ -91,10 +91,9 @@ TEST(JobEngineTest, CombinerReducesShuffle) {
 TEST(JobEngineTest, SortedShuffleDeliversKeyOrder) {
   InMemoryDataset ds = TinyDataset();
   MrEnv env;
+  env.sorted_shuffle = true;
   CountReducer reducer;
-  auto plan = CountPlan(&reducer);
-  plan.sorted_shuffle = true;
-  RunRound(plan, ds, &env);
+  RunRound(CountPlan(&reducer), ds, &env);
   ASSERT_EQ(reducer.absorbed.size(), 6u);
   for (size_t i = 1; i < reducer.absorbed.size(); ++i) {
     EXPECT_LE(reducer.absorbed[i - 1].first, reducer.absorbed[i].first);
@@ -138,12 +137,12 @@ TEST(JobEngineTest, StartRunsOnceBeforeAbsorbsInBothDeliveryModes) {
   InMemoryDataset ds = TinyDataset();
   for (bool sorted : {false, true}) {
     MrEnv env;
+    env.sorted_shuffle = sorted;
     LifecycleReducer reducer;
     JobPlan<uint64_t, uint64_t> plan;
     plan.name = sorted ? "lifecycle-sorted" : "lifecycle-streaming";
     plan.mapper_factory = [](uint64_t) { return std::make_unique<CountMapper>(); };
     plan.reducer = &reducer;
-    plan.sorted_shuffle = sorted;
     RunRound(plan, ds, &env);
     EXPECT_EQ(reducer.starts, 1) << "sorted=" << sorted;
     EXPECT_EQ(reducer.finishes, 1) << "sorted=" << sorted;
@@ -359,10 +358,9 @@ TEST(JobEngineTest, PartitionedReduceDeliversTheExactSingleMergeStream) {
 
   MrEnv reference_env;
   reference_env.reduce_tasks = 1;
+  reference_env.sorted_shuffle = true;
   CountReducer reference;
-  auto ref_plan = CountPlan(&reference);
-  ref_plan.sorted_shuffle = true;
-  RoundStats ref_round = RunRound(ref_plan, ds, &reference_env);
+  RoundStats ref_round = RunRound(CountPlan(&reference), ds, &reference_env);
   EXPECT_EQ(ref_round.reduce_tasks_used, 1);
 
   for (int reduce_tasks : {2, 4, 8}) {
@@ -370,10 +368,9 @@ TEST(JobEngineTest, PartitionedReduceDeliversTheExactSingleMergeStream) {
       MrEnv env;
       env.threads = threads;
       env.reduce_tasks = reduce_tasks;
+      env.sorted_shuffle = true;
       CountReducer reducer;
-      auto plan = CountPlan(&reducer);
-      plan.sorted_shuffle = true;
-      RoundStats round = RunRound(plan, ds, &env);
+      RoundStats round = RunRound(CountPlan(&reducer), ds, &env);
       EXPECT_EQ(round.reduce_tasks_used, reduce_tasks)
           << "threads " << threads;
       // The absorbed sequence -- not just the aggregates -- is identical.
@@ -390,10 +387,9 @@ TEST(JobEngineTest, ReduceTasksDefaultMatchesThreadCount) {
   InMemoryDataset ds = TinyDataset();
   MrEnv env;
   env.threads = 2;  // reduce_tasks stays 0 -> match the round's threads
+  env.sorted_shuffle = true;
   CountReducer reducer;
-  auto plan = CountPlan(&reducer);
-  plan.sorted_shuffle = true;
-  RoundStats round = RunRound(plan, ds, &env);
+  RoundStats round = RunRound(CountPlan(&reducer), ds, &env);
   EXPECT_EQ(round.reduce_tasks_used, 2);
   EXPECT_EQ(round.spill_files, 0u);  // default budget: nothing spilled
   // Streaming rounds ignore reduce partitioning entirely.
@@ -412,10 +408,9 @@ TEST(JobEngineTest, SpillStatsFlowIntoRoundAndCounters) {
   InMemoryDataset ds(std::move(splits), 128);
   MrEnv env;
   env.io.shuffle_buffer_bytes = 512;
+  env.sorted_shuffle = true;
   CountReducer reducer;
-  auto plan = CountPlan(&reducer);
-  plan.sorted_shuffle = true;
-  RoundStats round = RunRound(plan, ds, &env);
+  RoundStats round = RunRound(CountPlan(&reducer), ds, &env);
   EXPECT_GT(round.spill_files, 0u);
   EXPECT_GT(round.spill_bytes, 0u);
   EXPECT_GT(round.spill_read_bytes, 0u);

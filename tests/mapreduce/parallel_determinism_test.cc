@@ -139,9 +139,9 @@ const std::vector<AlgorithmKind>& AllKinds() {
   return kinds;
 }
 
-// The full cross product: every algorithm (streaming and sorted shuffle
-// planes, combiner and stateful multi-round paths) must be bit-identical
-// at every thread count the columnar shuffle plane schedules differently.
+// Default delivery: every algorithm (streaming plane, combiner and stateful
+// multi-round paths) must be bit-identical at every thread count the
+// columnar shuffle plane schedules differently.
 std::vector<Case> AllCases() {
   std::vector<Case> cases;
   for (AlgorithmKind kind : AllKinds()) {
@@ -155,50 +155,18 @@ std::vector<Case> AllCases() {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ParallelDeterminismTest,
                          testing::ValuesIn(AllCases()), CaseName);
 
-// Key-range partitioned parallel reduce: every algorithm x reduce-tasks
-// {1, 2, 4, 8} (at 4 map threads, so partition merges really run on the
-// pool) must reproduce the single-partition serial reference.
-std::vector<Case> ReduceTaskCases() {
-  std::vector<Case> cases;
-  for (AlgorithmKind kind : AllKinds()) {
-    for (int reduce_tasks : {1, 2, 4, 8}) {
-      cases.push_back(Case{kind, /*threads=*/4, reduce_tasks});
-    }
-  }
-  return cases;
-}
-
-INSTANTIATE_TEST_SUITE_P(ReduceTasks, ParallelDeterminismTest,
-                         testing::ValuesIn(ReduceTaskCases()), CaseName);
-
-// External spill: a 4 KiB buffer forces every sorted round to write real
-// spill files; results -- including simulated seconds, which deliberately
-// exclude the separately-reported spill IO time -- must not move a bit,
-// with and without partitioned reduce on top.
-std::vector<Case> SpillCases() {
-  std::vector<Case> cases;
-  for (AlgorithmKind kind : AllKinds()) {
-    for (int reduce_tasks : {1, 4}) {
-      cases.push_back(Case{kind, /*threads=*/4, reduce_tasks,
-                           /*force_sorted=*/false,
-                           /*shuffle_buffer_bytes=*/4096});
-    }
-  }
-  return cases;
-}
-
-INSTANTIATE_TEST_SUITE_P(ForcedSpill, ParallelDeterminismTest,
-                         testing::ValuesIn(SpillCases()), CaseName);
-
 // Forced sorted delivery: the mode the spill workloads and CI spill lanes
-// run in, where the streaming algorithms (Send-V, the samplers,
-// Send-Sketch) also retain, spill, cut and merge their runs. Every
-// algorithm at 4 threads x reduce-tasks {2, 4} x buffer {default, 4 KiB}
-// must equal its forced-sorted serial reference.
+// run in, and the only way a build reaches the retained-run/spill plane
+// (every round streams by default). Every algorithm at 4 map threads, so
+// rank-slice merges really run on the pool, x reduce-tasks {1, 2, 4, 8} x
+// buffer {default, 4 KiB} must equal its forced-sorted serial reference. The
+// 4 KiB buffer forces every round to write real spill files; results --
+// including simulated seconds, which deliberately exclude the
+// separately-reported spill IO time -- must not move a bit.
 std::vector<Case> ForcedSortedCases() {
   std::vector<Case> cases;
   for (AlgorithmKind kind : AllKinds()) {
-    for (int reduce_tasks : {2, 4}) {
+    for (int reduce_tasks : {1, 2, 4, 8}) {
       for (uint64_t budget : {uint64_t{0}, uint64_t{4096}}) {
         cases.push_back(Case{kind, /*threads=*/4, reduce_tasks,
                              /*force_sorted=*/true, budget});
@@ -215,8 +183,9 @@ INSTANTIATE_TEST_SUITE_P(ForcedSorted, ParallelDeterminismTest,
 // the same split order as streaming delivery, and no reducer depends on the
 // order across keys. So for every algorithm, serial and threaded, forcing
 // sorted delivery must give the default delivery's synopsis bit for bit,
-// with the same communication and simulated time. (Send-Coef and H-WTopk
-// sort in both modes; their cases pin that forcing changes nothing.)
+// with the same communication and simulated time. Every round of a default
+// build streams: RoundStats::reduce_wall_ms is only ever set by a sorted
+// round's merge, so it is exactly 0 on a streaming one.
 class ParallelDeterminismDeliveryTest : public testing::TestWithParam<Case> {};
 
 TEST_P(ParallelDeterminismDeliveryTest, SortedMatchesDefaultDelivery) {
@@ -241,6 +210,8 @@ TEST_P(ParallelDeterminismDeliveryTest, SortedMatchesDefaultDelivery) {
     EXPECT_EQ(a.shuffle_pairs, b.shuffle_pairs) << "round " << r;
     EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes) << "round " << r;
     EXPECT_EQ(a.TotalSeconds(), b.TotalSeconds()) << "round " << r;
+    EXPECT_EQ(a.reduce_wall_ms, 0.0) << "round " << r << " did not stream";
+    EXPECT_GT(b.reduce_wall_ms, 0.0) << "round " << r << " did not sort";
   }
 }
 
@@ -255,14 +226,15 @@ std::vector<Case> DeliveryCases() {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ParallelDeterminismDeliveryTest,
                          testing::ValuesIn(DeliveryCases()), CaseName);
 
-// Sorted-shuffle algorithms under a forced-tiny buffer must actually hit
-// the external path (the determinism suite above would pass vacuously if
-// spilling never engaged).
+// Forced-sorted builds under a tiny buffer must actually hit the external
+// path (the ForcedSorted grid above would pass vacuously if spilling never
+// engaged).
 TEST(SpillEngagementTest, SortedAlgorithmsSpillUnderTinyBuffer) {
   ZipfDataset ds = TestDataset();
   for (AlgorithmKind kind : {AlgorithmKind::kSendCoef, AlgorithmKind::kHWTopk}) {
     BuildResult r = BuildWith(ds, kind, /*threads=*/2, /*reduce_tasks=*/2,
-                              /*shuffle_buffer_bytes=*/4096);
+                              /*shuffle_buffer_bytes=*/4096,
+                              /*force_sorted_shuffle=*/true);
     EXPECT_GT(r.stats.counters.Get("shuffle_spill_files"), 0u)
         << AlgorithmName(kind);
     EXPECT_GT(r.stats.TotalSpillBytes(), 0u) << AlgorithmName(kind);
@@ -273,7 +245,8 @@ TEST(SpillEngagementTest, SortedAlgorithmsSpillUnderTinyBuffer) {
     // schedule-independent: full counter equality across threads and
     // reduce-task counts.
     BuildResult other = BuildWith(ds, kind, /*threads=*/8, /*reduce_tasks=*/8,
-                                  /*shuffle_buffer_bytes=*/4096);
+                                  /*shuffle_buffer_bytes=*/4096,
+                                  /*force_sorted_shuffle=*/true);
     EXPECT_EQ(r.stats.counters.values(), other.stats.counters.values())
         << AlgorithmName(kind);
   }

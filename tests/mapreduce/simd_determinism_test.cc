@@ -31,7 +31,9 @@ struct Case {
   AlgorithmKind kind;
   int threads;
   int reduce_tasks = 0;
-  uint64_t shuffle_buffer_bytes = 0;  // 0 = default budget (no spill)
+  /// 0 = default budget and delivery (every round streams); > 0 forces
+  /// sorted delivery with this spill budget.
+  uint64_t shuffle_buffer_bytes = 0;
 };
 
 std::string CaseName(const testing::TestParamInfo<Case>& info) {
@@ -56,6 +58,7 @@ BuildResult BuildUnderTier(const Dataset& ds, const Case& c, SimdTier tier) {
   opt.threads = c.threads;
   opt.reduce_tasks = c.reduce_tasks;
   if (c.shuffle_buffer_bytes > 0) {
+    opt.force_sorted_shuffle = true;
     opt.io.shuffle_buffer_bytes = c.shuffle_buffer_bytes;
   }
   auto result = BuildWaveletHistogram(ds, c.kind, opt);
@@ -108,10 +111,11 @@ const std::vector<AlgorithmKind>& AllKinds() {
   return kinds;
 }
 
-// Every algorithm under: serial; threaded + partitioned reduce; threaded +
-// partitioned reduce + forced spill. (The threads/reduce knobs themselves
-// are already proven schedule-invariant by parallel_determinism_test; here
-// they make sure no tier-dependent code hides behind a scheduling path.)
+// Every algorithm under: serial; threaded; threaded + forced sorted delivery
+// with partitioned reduce and forced spill. (The threads/reduce knobs
+// themselves are already proven schedule-invariant by
+// parallel_determinism_test; here they make sure no tier-dependent code
+// hides behind a scheduling path.)
 std::vector<Case> AllCases() {
   std::vector<Case> cases;
   for (AlgorithmKind kind : AllKinds()) {

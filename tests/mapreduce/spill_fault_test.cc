@@ -258,7 +258,7 @@ std::vector<std::pair<uint64_t, uint64_t>> RunSpillingJob(MrEnv* env) {
     return std::make_unique<EmitManyMapper>();
   };
   plan.reducer = &reducer;
-  plan.sorted_shuffle = true;
+  env->sorted_shuffle = true;
   std::vector<std::vector<uint64_t>> splits(8, std::vector<uint64_t>{1, 2, 3});
   InMemoryDataset ds(std::move(splits), 1024);
   RunRound(plan, ds, env);

@@ -192,7 +192,6 @@ JobPlan<uint64_t, uint64_t> SpillingPlan(Reducer<uint64_t, uint64_t>* reducer) {
   plan.name = "spilling";
   plan.mapper_factory = [](uint64_t) { return std::make_unique<EmitManyMapper>(); };
   plan.reducer = reducer;
-  plan.sorted_shuffle = true;
   return plan;
 }
 
@@ -204,6 +203,7 @@ InMemoryDataset SpillDataset() {
 TEST(SpillCleanupTest, NormalCompletionLeavesDirEmpty) {
   InMemoryDataset ds = SpillDataset();
   MrEnv env;
+  env.sorted_shuffle = true;
   env.io.shuffle_buffer_bytes = 1024;  // forces real spills
   NullReducer reducer;
   RunRound(SpillingPlan(&reducer), ds, &env);
@@ -215,6 +215,7 @@ TEST(SpillCleanupTest, NormalCompletionLeavesDirEmpty) {
 TEST(SpillCleanupTest, ThrowingReducerLeavesDirEmpty) {
   InMemoryDataset ds = SpillDataset();
   MrEnv env;
+  env.sorted_shuffle = true;
   env.io.shuffle_buffer_bytes = 1024;
   ThrowingFinishReducer reducer;
   EXPECT_THROW(RunRound(SpillingPlan(&reducer), ds, &env), std::runtime_error);

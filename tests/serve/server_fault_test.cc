@@ -163,7 +163,9 @@ TEST_F(ServerFaultTest, StopDrainsInFlightQueries) {
   // After the drain the listener is gone.
   ServeClient late;
   Status reconnect = late.Connect("127.0.0.1", server_->port());
-  if (reconnect.ok()) EXPECT_FALSE(late.Point(0).ok());
+  if (reconnect.ok()) {
+    EXPECT_FALSE(late.Point(0).ok());
+  }
 }
 
 TEST_F(ServerFaultTest, DrainDeadlineBoundsSlowQueries) {

@@ -2,8 +2,7 @@
 // and serves point/range/top-k estimates over the length-prefixed TCP
 // protocol until SIGINT/SIGTERM.
 //
-//   wavemr_serve --generate=zipf --n=1000000 --u=65536 --algo=twolevel-s \
-//                --port=7070
+//   wavemr_serve --generate=zipf --n=1000000 --algo=twolevel-s --port=7070
 //   wavemr_serve --snapshot=histogram.snap --port=0   # ephemeral port
 //
 // Prints "wavemr_serve listening on port N" once ready. Query it with
