@@ -155,6 +155,38 @@ std::vector<Case> AllCases() {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ParallelDeterminismTest,
                          testing::ValuesIn(AllCases()), CaseName);
 
+// The sorted plane's knobs in default delivery: reduce-tasks {1, 2, 4, 8}
+// and a 4 KiB shuffle buffer (at 4 map threads) only shape sorted rounds, so
+// a streaming build must reproduce its serial reference with any of them
+// set. The ForcedSorted grid below runs the same knobs on the sorted plane.
+std::vector<Case> ReduceTaskCases() {
+  std::vector<Case> cases;
+  for (AlgorithmKind kind : AllKinds()) {
+    for (int reduce_tasks : {1, 2, 4, 8}) {
+      cases.push_back(Case{kind, /*threads=*/4, reduce_tasks});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(ReduceTasks, ParallelDeterminismTest,
+                         testing::ValuesIn(ReduceTaskCases()), CaseName);
+
+std::vector<Case> SpillCases() {
+  std::vector<Case> cases;
+  for (AlgorithmKind kind : AllKinds()) {
+    for (int reduce_tasks : {1, 4}) {
+      cases.push_back(Case{kind, /*threads=*/4, reduce_tasks,
+                           /*force_sorted=*/false,
+                           /*shuffle_buffer_bytes=*/4096});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(ForcedSpill, ParallelDeterminismTest,
+                         testing::ValuesIn(SpillCases()), CaseName);
+
 // Forced sorted delivery: the mode the spill workloads and CI spill lanes
 // run in, and the only way a build reaches the retained-run/spill plane
 // (every round streams by default). Every algorithm at 4 map threads, so
